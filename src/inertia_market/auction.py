@@ -6,9 +6,13 @@ optimal cost that the provider's absence would cause, plus its own bid
 value at the cleared quantity. Two clearing objectives are supported:
 
 * trade-off mode (``run_auction``): the social cost is
-  gamma * Gamma(m(mu)) + sum bids, and abstention re-solves use the same
-  objective. Always feasible, and the mode under which the truthfulness
-  and participation properties are audited.
+  gamma * Gamma(m(mu)) + sum bids, and abstention optima use the same
+  objective. One fill level decides every plan, and an abstention changes
+  the aggregate fill cost only at the abstainer's bus, so all N payments
+  come from the base solve's one sorted sweep of fill-price breakpoints
+  rather than N re-solves (``exclusion_solve`` is the stand-alone
+  equivalent for one agent). Always feasible, and the mode under which
+  the truthfulness and participation properties are audited.
 * capped mode (``run_auction_hard``): quantities come from the
   minimum-cost solve under the worst-case cap, and abstention re-solves
   keep the cap. The cap binds in the base and abstention problems alike,
@@ -29,6 +33,7 @@ from .planner import (
     Agent,
     Allocation,
     CostCurve,
+    _soft_market,
     dual_gamma_iterate,
     solve_centralized_hard,
     solve_centralized_soft,
@@ -120,7 +125,12 @@ def vcg_payment(k: int, bids, base: AuctionOutcome, excl: Allocation) -> float:
             "exclusion allocation does not match the supplied bids/gamma "
             f"(recomputed objective {excl_obj:.9g} vs stored {excl.objective:.9g})"
         )
-    return excl_obj - (base_obj - bids[k].curve.value(float(base.mu[k])))
+    return _externality_payment(excl_obj, base_obj, bids[k].curve.value(float(base.mu[k])))
+
+
+def _externality_payment(excl_obj, base_obj, own_bid_value) -> float:
+    """VCG payment: others' optimum without the agent minus their share of the base optimum."""
+    return excl_obj - (base_obj - own_bid_value)
 
 
 def _compose_inertia(m0, agents, mu) -> np.ndarray:
@@ -145,19 +155,22 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     """Clear the trade-off market on the submitted bid curves.
 
     Quantities minimize gamma * Gamma(m(mu)) + sum bids; each agent is
-    paid its externality from an abstention re-solve under the same
-    objective. Zero-quantity agents are still re-solved (their payments
-    come out zero because abstention changes nothing).
+    paid its externality under the same objective. All abstention optima
+    come from the base solve's sweep: removing agent k changes the
+    aggregate fill cost only through its own bus's supply. A zero-quantity
+    agent's abstention changes nothing, so its exclusion objective is the
+    base objective and its payment exactly zero.
     """
     m0 = np.asarray(m0, dtype=float)
-    base = solve_centralized_soft(gamma, m0, bids, budget)
+    market = _soft_market(gamma, m0, bids, budget)
+    base = market.solve(float(gamma))
     n_agents = len(bids)
     payments = np.zeros(n_agents)
     excl_objs = np.zeros(n_agents)
     for k in range(n_agents):
-        excl = exclusion_solve(k, bids, gamma, m0, budget)
-        excl_objs[k] = excl.objective
-        payments[k] = excl.objective - (base.objective - bids[k].curve.value(float(base.mu[k])))
+        q = float(base.mu[k])
+        excl_objs[k] = market.exclusion_objective(k, float(gamma)) if q > 0 else base.objective
+        payments[k] = _externality_payment(excl_objs[k], base.objective, bids[k].curve.value(q))
     return AuctionOutcome(
         mu=base.mu,
         payments=payments,
@@ -190,7 +203,9 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     for k in range(n_agents):
         excl = solve_centralized_hard(gamma_bar, m0, bids, budget, excluded=(k,))
         excl_costs[k] = excl.total_cost
-        payments[k] = excl.total_cost - (base_cost - bids[k].curve.value(float(base.mu[k])))
+        payments[k] = _externality_payment(
+            excl.total_cost, base_cost, bids[k].curve.value(float(base.mu[k]))
+        )
     gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
     return AuctionOutcome(
         mu=base.mu,
@@ -248,7 +263,7 @@ def _utility_of_bid(k, bid_k, bids, true_cost_k, gamma, m0, budget, excl_obj):
     trial_bids = list(bids)
     trial_bids[k] = Agent(id=bids[k].id, bus=bids[k].bus, curve=bid_k)
     base = solve_centralized_soft(gamma, m0, trial_bids, budget)
-    payment = excl_obj - (base.objective - bid_k.value(float(base.mu[k])))
+    payment = _externality_payment(excl_obj, base.objective, bid_k.value(float(base.mu[k])))
     return payment - true_cost_k.value(float(base.mu[k]))
 
 

@@ -7,15 +7,16 @@ piecewise-linear in L, which makes the trade-off objective
 
     F(L) = gamma * pi_tot / L + total_fill_cost(L)
 
-convex with finitely many slope breakpoints. The solver enumerates the
-breakpoints, minimizes analytically inside each linear piece, and is exact
-up to floating point.
+convex with finitely many slope breakpoints. The solver sorts the
+breakpoints of every bus into one sweep of the aggregate slope, finds the
+piece holding the minimizer by binary search, minimizes analytically
+inside it, and is exact up to floating point.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,9 @@ class CostCurve:
     """Convex nondecreasing piecewise-linear money-vs-quantity curve.
 
     ``segments`` is an ordered tuple of (width, marginal_price); widths are
-    positive, prices nonnegative and nondecreasing. The curve starts at
-    value 0 for quantity 0 and its capacity is the summed width.
+    positive and finite, prices finite, nonnegative and nondecreasing. The
+    curve starts at value 0 for quantity 0 and its capacity is the summed
+    width.
     """
 
     segments: tuple[tuple[float, float], ...]
@@ -55,10 +57,10 @@ class CostCurve:
             raise ScenarioError("cost curve needs at least one segment")
         last_price = -math.inf
         for k, (width, price) in enumerate(self.segments):
-            if not (width > 0):
-                raise ScenarioError(f"segment {k}: width must be positive, got {width!r}")
-            if price < 0:
-                raise ScenarioError(f"segment {k}: price must be nonnegative, got {price!r}")
+            if not (math.isfinite(width) and width > 0):
+                raise ScenarioError(f"segment {k}: width must be positive and finite, got {width!r}")
+            if not (math.isfinite(price) and price >= 0):
+                raise ScenarioError(f"segment {k}: price must be nonnegative and finite, got {price!r}")
             if price < last_price:
                 raise ScenarioError(
                     "marginal prices must be nondecreasing (convexity), "
@@ -251,67 +253,165 @@ def _assemble(m0, agents, level, supplies, by_bus, gamma, budget):
     return Allocation(mu=mu, m=m, level=float(level), objective_parts=(float(gamma_term), float(cost)))
 
 
-def _solve_soft(gamma, m0, agents, budget, excluded):
-    m0 = np.asarray(m0, dtype=float)
-    n = m0.shape[0]
-    if np.any(m0 <= 0):
-        raise GridError("residual inertia must be positive at every bus")
-    if budget.n != n:
-        raise GridError(f"budget dimension {budget.n} does not match {n} buses")
-    by_bus = _group_by_bus(n, agents, excluded)
-    supplies = [_BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(by_bus[i])]) for i in range(n)]
+def _price_at(starts, prices, x):
+    """Marginal price at level ``x`` of a bus whose tiers begin at ``starts``."""
+    t = bisect_right(starts, x) - 1
+    return prices[t] if t >= 0 else 0.0
 
-    lo = float(np.min(m0))
-    cap = min(float(m0[i]) + supplies[i].capacity for i in range(n))
-    weight = gamma * budget.pi_tot
 
-    candidates = {lo, cap}
-    for i in range(n):
-        if lo < m0[i] < cap:
-            candidates.add(float(m0[i]))
-        for knot in supplies[i].knots[1:]:
-            lvl = float(m0[i]) + knot
-            if lo < lvl < cap:
-                candidates.add(lvl)
-    levels = sorted(candidates)
+def _tier_starts(m0_i, supply):
+    """Levels at which a bus's supply tiers begin, and the tiers' prices."""
+    return [m0_i + knot for knot in supply.knots[:-1]], [price for price, _ in supply.tiers]
 
-    def total_cost(level):
-        return sum(
-            supplies[i].cost_at(level - m0[i]) for i in range(n) if level > m0[i]
-        )
 
-    def objective(level):
-        return weight / level + total_cost(level)
+class _SoftMarket:
+    """The trade-off market swept once into its aggregate fill-cost curve.
 
-    evals = [(objective(lvl), lvl) for lvl in levels]
-    if weight > 0:
-        for a, b in zip(levels, levels[1:]):
-            mid = 0.5 * (a + b)
-            slope = sum(
-                supplies[i].marginal_price_at(mid - m0[i]) for i in range(n) if m0[i] < mid
-            )
-            if slope > 0:
-                stationary = math.sqrt(weight / slope)
-                if a < stationary < b:
-                    evals.append((objective(stationary), stationary))
-    best_level = min(evals, key=lambda t: (t[0], t[1]))[1]
-    return _assemble(m0, agents, best_level, supplies, by_bus, gamma, budget)
+    Every bus contributes slope-increment events (m0_i + knot_j,
+    price_j - price_{j-1}). Sorted, they give the breakpoints ``pts`` of
+    the total fill cost C(L) on [min m0, reach cap], its slope on each
+    piece and its value at each breakpoint. Minimizing weight / L + C(L)
+    is then a binary search over pieces and a clamped stationary point.
+
+    The same arrays price every single-agent abstention: removing agent k
+    at bus b changes C only through bus b's own supply.
+    """
+
+    def __init__(self, m0, agents, budget, excluded=frozenset()):
+        m0 = np.asarray(m0, dtype=float)
+        n = m0.shape[0]
+        if np.any(m0 <= 0):
+            raise GridError("residual inertia must be positive at every bus")
+        if budget.n != n:
+            raise GridError(f"budget dimension {budget.n} does not match {n} buses")
+        self.m0, self.agents, self.budget = m0, agents, budget
+        self.by_bus = _group_by_bus(n, agents, excluded)
+        self.supplies = [
+            _BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(self.by_bus[i])]) for i in range(n)
+        ]
+        levels = m0.tolist()
+        reach = [levels[i] + self.supplies[i].capacity for i in range(n)]
+        self.lo = min(levels)
+        self.cap = min(reach)
+        # An abstention at the bus that sets the cap can lift it to the next lowest reach.
+        order = sorted(range(n), key=reach.__getitem__)
+        self._cap_bus = order[0]
+        self._next_reach = reach[order[1]] if n > 1 else math.inf
+
+        events = []
+        for i, supply in enumerate(self.supplies):
+            prev = 0.0
+            for level, price in zip(*_tier_starts(levels[i], supply)):
+                if level >= self.cap:
+                    break
+                events.append((level, price - prev))
+                prev = price
+        events.sort()
+        self.pts = [self.lo]  # breakpoints of C, lo .. cap
+        self.slopes = []  # slope of C on (pts[j], pts[j+1])
+        self.costs = [0.0]  # C(pts[j])
+        slope = 0.0
+        for level, increment in events + [(self.cap, 0.0)]:  # the cap closes the last piece
+            if level > self.pts[-1]:
+                self.slopes.append(slope)
+                self.costs.append(self.costs[-1] + slope * (level - self.pts[-1]))
+                self.pts.append(level)
+            slope += increment
+
+    def cost(self, level: float) -> float:
+        """Total fill cost C(level) of lifting every bus to ``level``."""
+        j = min(bisect_right(self.pts, level) - 1, len(self.slopes) - 1)
+        if j < 0:
+            return 0.0
+        return self.costs[j] + self.slopes[j] * (level - self.pts[j])
+
+    def level(self, weight: float, swap=None) -> float:
+        """Minimizer of weight / L + C(L) over [min m0, reach cap].
+
+        ``swap = (b, supply)`` replaces bus b's supply, as an abstention
+        at bus b does, and lowers the reach cap to match. Slopes are
+        probed at piece midpoints, where every step function is
+        unambiguous, never at a breakpoint: ``(m0_b + knot) - m0_b`` can
+        round below ``knot``.
+        """
+        if weight <= 0:
+            return self.lo
+        top = self.cap
+        extra = []  # breakpoints of the swapped-in supply
+        if swap is not None:
+            b, supply = swap
+            m0_b = float(self.m0[b])
+            top = min(self._next_reach if b == self._cap_bus else self.cap, m0_b + supply.capacity)
+            old_starts, old_prices = _tier_starts(m0_b, self.supplies[b])
+            extra, new_prices = _tier_starts(m0_b, supply)
+        last = len(self.slopes) - 1
+
+        def slope_at(x):
+            s = self.slopes[min(bisect_right(self.pts, x) - 1, last)]
+            if swap is not None:
+                s += _price_at(extra, new_prices, x) - _price_at(old_starts, old_prices, x)
+            return s
+
+        def piece_end(j):
+            """Right end of piece j within [lo, top] and its last sub-piece's midpoint."""
+            r = min(self.pts[j + 1], top)
+            t = bisect_left(extra, r)
+            a = max(self.pts[j], extra[t - 1]) if t else self.pts[j]
+            return r, 0.5 * (a + r)
+
+        # Smallest piece whose right end has nonnegative derivative.
+        n_pieces = bisect_left(self.pts, top)
+        first, past = 0, n_pieces
+        while first < past:
+            j = (first + past) // 2
+            r, mid = piece_end(j)
+            if slope_at(mid) >= weight / (r * r):
+                past = j
+            else:
+                first = j + 1
+        if first == n_pieces:
+            return top
+        a = self.pts[first]
+        r = min(self.pts[first + 1], top)
+        # The last sub-piece is the one the search tested, so it always stops.
+        for end in [e for e in extra if a < e < r] + [r]:
+            s = slope_at(0.5 * (a + end))
+            if end == r or s >= weight / (end * end):
+                return min(max(math.sqrt(weight / s), a), end)
+            a = end
+
+    def solve(self, gamma: float) -> Allocation:
+        level = self.level(gamma * self.budget.pi_tot)
+        return _assemble(self.m0, self.agents, level, self.supplies, self.by_bus, gamma, self.budget)
+
+    def exclusion_objective(self, k: int, gamma: float) -> float:
+        """Optimal trade-off objective with agent ``k`` absent, from this sweep."""
+        b = self.agents[k].bus
+        supply = _BusSupply([(p, ag.curve) for p, (j, ag) in enumerate(self.by_bus[b]) if j != k])
+        weight = gamma * self.budget.pi_tot
+        level = self.level(weight, swap=(b, supply))
+        q = level - float(self.m0[b])
+        return weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
+
+
+def _soft_market(gamma, m0, agents, budget, excluded=()) -> _SoftMarket:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise GridError(f"gamma must be positive and finite, got {gamma!r}")
+    return _SoftMarket(m0, agents, budget, frozenset(excluded))
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
     """Global minimizer of gamma * Gamma(m(mu)) + sum_k cost_k(mu_k).
 
-    Candidate levels are every bus's residual inertia and every merged
-    supply breakpoint, capped at the highest level the weakest bus can
-    reach; between consecutive candidates the fill cost is affine with
-    slope s, so the objective is minimized at sqrt(gamma * pi_tot / s)
-    clamped to the piece. ``excluded`` removes agents from the market
-    (their allocation is pinned to zero) and is what the auction's
-    externality computation uses.
+    The fill level ranges from the lowest residual inertia up to the
+    highest level the weakest bus can reach. Between consecutive supply
+    breakpoints the fill cost is affine with slope s, so the objective is
+    minimized at sqrt(gamma * pi_tot / s) clamped to the piece; a binary
+    search over the sorted breakpoints finds the piece. ``excluded``
+    removes agents from the market (their allocation is pinned to zero),
+    as an abstention does.
     """
-    if gamma <= 0:
-        raise GridError("gamma must be positive")
-    return _solve_soft(float(gamma), m0, agents, budget, frozenset(excluded))
+    return _soft_market(gamma, m0, agents, budget, excluded).solve(float(gamma))
 
 
 def _required_level(gamma_bar, m0, agents, budget, excluded):
@@ -358,17 +458,13 @@ def dual_gamma_iterate(gamma_bar, m0, agents, budget: DisturbanceBudget):
         raise GridError("residual inertia must be positive at every bus")
     # Feasibility gate, with the blocking bus reported.
     _required_level(gamma_bar, m0, agents, budget, frozenset())
+    market = _SoftMarket(m0, agents, budget)
 
     if worst_case_metric(m0, budget).gamma <= gamma_bar:
-        by_bus = _group_by_bus(len(m0), agents, frozenset())
-        supplies = [
-            _BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(by_bus[i])])
-            for i in range(len(m0))
-        ]
-        return 0.0, _assemble(m0, agents, float(np.min(m0)), supplies, by_bus, 0.0, budget)
+        return 0.0, _assemble(m0, agents, market.lo, market.supplies, market.by_bus, 0.0, budget)
 
     def worst_at(gamma):
-        alloc = _solve_soft(gamma, m0, agents, budget, frozenset())
+        alloc = market.solve(gamma)
         return worst_case_metric(alloc.m, budget).gamma, alloc
 
     lo = 0.0

@@ -8,6 +8,7 @@ least inertia, giving Gamma(m) = pi_tot * max_i 1/m_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class DisturbanceBudget:
     n: int
 
     def __post_init__(self):
-        if self.pi_tot < 0:
-            raise GridError("pi_tot must be nonnegative")
+        if not (math.isfinite(self.pi_tot) and self.pi_tot >= 0):
+            raise GridError(f"pi_tot must be nonnegative and finite, got {self.pi_tot!r}")
         if self.n < 1:
             raise GridError("budget dimension must be at least 1")
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: the Gramian
 oracle integrates the matrix exponential numerically, the planner oracle
-grid-searches the fill level, and the worst-case oracle enumerates
-polytope vertices.
+grid-searches the fill level, the worst-case oracle enumerates polytope
+vertices, and the auction oracle re-solves the market once per abstaining
+agent instead of reusing the base solve's sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from inertia_market import Agent, CostCurve, DisturbanceBudget, build_grid
+from inertia_market import (
+    Agent,
+    AuctionOutcome,
+    CostCurve,
+    DisturbanceBudget,
+    build_grid,
+    exclusion_solve,
+    solve_centralized_soft,
+)
 
 
 def make_grid(m0, d, lines, labels=None):
@@ -98,15 +107,22 @@ def matrix_sqrt_psd(Q):
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def random_market(rng, max_buses=4, max_agents=6, max_segments=3):
-    """Random planner instance: residual inertia, agents, budget."""
+def random_market(rng, max_buses=4, max_agents=6, max_segments=3, price_grid=None):
+    """Random planner instance: residual inertia, agents, budget.
+
+    With ``price_grid``, prices are drawn from that finite set, so
+    co-located agents often tie on price and zero prices occur if listed.
+    """
     n = int(rng.integers(1, max_buses + 1))
     m0 = rng.uniform(0.5, 4.0, size=n)
     n_agents = int(rng.integers(1, max_agents + 1))
     agents = []
     for k in range(n_agents):
         n_seg = int(rng.integers(1, max_segments + 1))
-        prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
+        if price_grid is None:
+            prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
+        else:
+            prices = np.sort(rng.choice(price_grid, size=n_seg))
         widths = rng.uniform(0.3, 2.0, size=n_seg)
         curve = CostCurve(tuple((float(w), float(p)) for w, p in zip(widths, prices)))
         agents.append(Agent(id=f"a{k}", bus=int(rng.integers(n)), curve=curve))
@@ -152,3 +168,34 @@ def interior_budget_points(rng, n, pi_tot, count):
     """Random strength vectors strictly inside the budget polytope."""
     points = rng.dirichlet(np.ones(n), size=count) * pi_tot
     return points * rng.uniform(0.0, 1.0, size=(count, 1))
+
+
+def run_auction_resolve_oracle(bids, gamma, m0, budget):
+    """Trade-off auction by N+1 full solves: the base plus one per abstaining agent.
+
+    Payments are p_k = B(plan without k) - (B(base plan) - bid_k(mu_k)),
+    every exclusion objective coming from its own ``exclusion_solve``.
+    """
+    m0 = np.asarray(m0, dtype=float)
+    base = solve_centralized_soft(gamma, m0, bids, budget)
+    excl_objs = np.array(
+        [exclusion_solve(k, bids, gamma, m0, budget).objective for k in range(len(bids))]
+    )
+    payments = np.array(
+        [
+            excl_objs[k] - (base.objective - bids[k].curve.value(float(base.mu[k])))
+            for k in range(len(bids))
+        ]
+    )
+    return AuctionOutcome(
+        mu=base.mu,
+        payments=payments,
+        utilities=None,
+        objective=base.objective,
+        exclusion_objectives=excl_objs,
+        level=base.level,
+        gamma=float(gamma),
+        mode="soft",
+        m0=m0,
+        pi_tot=budget.pi_tot,
+    )

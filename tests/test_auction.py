@@ -1,5 +1,7 @@
 """Auction clearing, externality payments, and the truthfulness audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from inertia_market import (
 )
 from inertia_market.auction import deviation_curve, random_convex_curve
 
-from helpers import random_market
+from helpers import random_market, run_auction_resolve_oracle
 
 
 def single_bus_instance():
@@ -51,7 +53,7 @@ class TestTradeOffAuction:
         out = run_auction(agents, 16.0, m0, budget)
         assert out.mu[1] == 0.0
         assert out.payments[1] == 0.0
-        assert out.exclusion_objectives[1] == pytest.approx(out.objective, rel=1e-12)
+        assert out.exclusion_objectives[1] == out.objective
 
     def test_efficiency_same_allocation_as_planner(self):
         m0, agents, budget = single_bus_instance()
@@ -76,6 +78,132 @@ class TestTradeOffAuction:
             out = run_auction(agents, gamma, m0, budget, true_costs=[a.curve for a in agents])
             assert np.all(out.payments >= -1e-9)
             assert np.all(out.utilities >= -1e-9)
+
+
+def assert_matches_resolve_oracle(bids, gamma, m0, budget):
+    """run_auction agrees with N+1 re-solves to 1e-9 relative to max(1, |ref|)."""
+    out = run_auction(bids, gamma, m0, budget)
+    ref = run_auction_resolve_oracle(bids, gamma, m0, budget)
+    for name in ("mu", "level", "objective", "payments", "exclusion_objectives"):
+        got, want = np.atleast_1d(getattr(out, name)), np.atleast_1d(getattr(ref, name))
+        assert got.shape == want.shape, name
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(err <= 1e-9), (name, got, want)
+    return out, ref
+
+
+class TestSweepPaymentsMatchResolves:
+    def test_random_markets(self):
+        rng = np.random.default_rng(101)
+        for trial in range(300):
+            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if trial % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=5, max_agents=10, price_grid=grid)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_matches_resolve_oracle(agents, gamma, m0, budget)
+
+    def test_lone_agent_whose_abstention_sets_the_reach_cap(self):
+        agents = [
+            Agent("solo", 0, CostCurve.linear(1.0, 3.0)),
+            Agent("p", 1, CostCurve.linear(1.0, 5.0)),
+            Agent("q", 1, CostCurve.linear(2.0, 5.0)),
+        ]
+        m0, budget = np.array([1.0, 1.5]), DisturbanceBudget(2.0, 2)
+        out, _ = assert_matches_resolve_oracle(agents, 20.0, m0, budget)
+        assert out.mu[0] > 0
+        # bus 0 is left without supply, so its residual inertia caps the level
+        assert exclusion_solve(0, agents, 20.0, m0, budget).level == 1.0
+
+    def test_colocated_agents_at_one_price_split_equally(self):
+        agents = [
+            Agent("A", 0, CostCurve.linear(2.0, 1.0)),
+            Agent("B", 0, CostCurve.linear(2.0, 1.0)),
+            Agent("C", 0, CostCurve.linear(2.0, 1.0)),
+            Agent("D", 0, CostCurve.linear(2.0, 0.25)),
+            Agent("E", 1, CostCurve.linear(2.0, 1.0)),
+        ]
+        m0, budget = np.array([1.0, 3.0]), DisturbanceBudget(1.0, 2)
+        # stationary level sqrt(12.5 / 2) = 2.5 inside the shared price-2 tier
+        out, _ = assert_matches_resolve_oracle(agents, 12.5, m0, budget)
+        assert out.level == pytest.approx(2.5, rel=1e-12)
+        assert out.mu[3] == pytest.approx(0.25, rel=1e-12)  # clipped at its cap
+        np.testing.assert_allclose(out.mu[:3], (1.5 - 0.25) / 3, rtol=1e-12)
+
+    def test_zero_budget_procures_nothing_and_pays_nothing(self):
+        m0, agents, budget = random_market(np.random.default_rng(3), max_buses=3, max_agents=6)
+        budget = DisturbanceBudget(0.0, budget.n)
+        out, _ = assert_matches_resolve_oracle(agents, 5.0, m0, budget)
+        assert out.level == float(np.min(m0))
+        assert np.all(out.mu == 0.0)
+        assert np.all(out.payments == 0.0)
+
+    def test_optimum_at_lowest_residual_inertia(self):
+        agents = [
+            Agent("cheap", 0, CostCurve.linear(0.5, 2.0)),
+            Agent("dear", 0, CostCurve.linear(50.0, 2.0)),
+        ]
+        m0, budget = np.array([1.0, 3.0]), DisturbanceBudget(1.0, 2)
+        out, _ = assert_matches_resolve_oracle(agents, 4.0, m0, budget)
+        assert out.level == pytest.approx(math.sqrt(8.0), rel=1e-12)
+        # without the cheap agent, price 50 beats the marginal gain 4 / 1**2
+        assert exclusion_solve(0, agents, 4.0, m0, budget).level == 1.0
+        tiny, _ = assert_matches_resolve_oracle(agents, 0.1, m0, budget)
+        assert tiny.level == 1.0 and np.all(tiny.payments == 0.0)
+
+    def test_optimum_at_reach_cap(self):
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 0.5)),
+            Agent("B", 1, CostCurve.linear(1.0, 5.0)),
+        ]
+        m0, budget = np.array([1.0, 1.2]), DisturbanceBudget(1.0, 2)
+        out, _ = assert_matches_resolve_oracle(agents, 100.0, m0, budget)
+        assert out.level == 1.5  # bus 0 full: 1.0 + 0.5
+        assert out.mu[0] == 0.5 and out.mu[1] == pytest.approx(0.3, rel=1e-12)
+        assert exclusion_solve(1, agents, 100.0, m0, budget).level == 1.2
+
+    def test_zero_price_segments(self):
+        agents = [
+            Agent("A", 0, CostCurve(((1.0, 0.0), (1.0, 3.0)))),
+            Agent("B", 1, CostCurve(((0.5, 0.0), (2.0, 1.0)))),
+            Agent("C", 1, CostCurve(((0.25, 0.0),))),
+        ]
+        m0, budget = np.array([1.0, 1.25]), DisturbanceBudget(2.0, 2)
+        for gamma in (0.01, 1.0, 5.0, 50.0):
+            out, _ = assert_matches_resolve_oracle(agents, gamma, m0, budget)
+            # free capacity is always used
+            assert out.level >= 2.0 - 1e-12
+
+    def test_optimum_at_a_kink(self):
+        agents = [
+            Agent("A", 0, CostCurve(((1.0, 1.0), (1.0, 10.0)))),
+            Agent("B", 0, CostCurve.linear(2.0, 0.5)),
+        ]
+        m0, budget = np.array([1.0]), DisturbanceBudget(1.0, 1)
+        # slope 2 left of 2.5 and 10 right of it; 16 / 2.5**2 lies between
+        out, _ = assert_matches_resolve_oracle(agents, 16.0, m0, budget)
+        assert out.level == 2.5
+        assert exclusion_solve(1, agents, 16.0, m0, budget).level == 2.0
+
+    def test_abstention_optimum_on_a_knot_of_the_abstainers_bus(self):
+        # Bus 0's first knot sits at 0.6 + 0.7, which rounds so that
+        # (0.6 + 0.7) - 0.6 < 0.7: a slope probed at that breakpoint
+        # would read bus 0's tier below it while the aggregate already
+        # includes the jump. Without K the optimum sits exactly there,
+        # and the next breakpoint (bus 2 at 1.35) is close enough that
+        # the misread slope would move it.
+        assert (0.6 + 0.7) - 0.6 < 0.7
+        agents = [
+            Agent("A", 0, CostCurve(((0.7, 1.0), (3.0, 10.0)))),
+            Agent("K", 0, CostCurve.linear(4.0, 1.0)),
+            Agent("far", 1, CostCurve.linear(2.0, 5.0)),
+            Agent("near", 2, CostCurve.linear(1.0, 5.0)),
+        ]
+        m0, budget = np.array([0.6, 1.0, 1.35]), DisturbanceBudget(1.0, 3)
+        # Slopes 1, 3, then 6 (12 without K) from 1.3, plus 1 from 1.35.
+        out, _ = assert_matches_resolve_oracle(agents, 13.5, m0, budget)
+        level = math.sqrt(13.5 / 7.0)
+        assert out.level == pytest.approx(level, rel=1e-12)
+        assert out.mu[1] == pytest.approx(level - 1.3, rel=1e-9)
+        assert exclusion_solve(1, agents, 13.5, m0, budget).level == 0.6 + 0.7
 
 
 class TestExclusionSolve:

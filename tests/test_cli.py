@@ -191,6 +191,16 @@ def test_auction_needs_agents(capsys, tmp_path):
     assert "agent" in err
 
 
+def test_nan_budget_exit_one(capsys, tmp_path):
+    path = tmp_path / "nan_budget.yaml"
+    text = Path(CASE_FILE).read_text()
+    path.write_text(text.replace("pi_tot: 10.0", "pi_tot: .nan", 1))
+    assert "pi_tot: .nan" in path.read_text()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert "pi_tot" in err
+
+
 def test_infeasible_cap_exit_one(capsys):
     code, out, err = run_cli(capsys, "plan", CASE_FILE, "--gamma-bar", "0.0001")
     assert code == 1

@@ -1,5 +1,7 @@
 """Breakpoint planner: node fills, trade-off and capped solves, dual link."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ class TestCostCurve:
             CostCurve(((0.0, 1.0),))
         with pytest.raises(ScenarioError, match="price"):
             CostCurve(((1.0, -1.0),))
+
+    @pytest.mark.parametrize(
+        "segment",
+        [(1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)],
+        ids=["nan-price", "inf-price", "inf-width"],
+    )
+    def test_non_finite_segment_rejected(self, segment):
+        with pytest.raises(ScenarioError, match="finite"):
+            CostCurve((segment,))
 
 
 class TestNodeFillCost:
@@ -280,3 +291,9 @@ def test_gamma_must_be_positive():
     m0, agents, budget = single_bus_instance()
     with pytest.raises(GridError, match="gamma"):
         solve_centralized_soft(0.0, m0, agents, budget)
+
+
+def test_gamma_must_be_finite():
+    m0, agents, budget = single_bus_instance()
+    with pytest.raises(GridError, match="gamma"):
+        solve_centralized_soft(math.nan, m0, agents, budget)

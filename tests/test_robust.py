@@ -84,6 +84,12 @@ def test_negative_budget_rejected():
         DisturbanceBudget(-1.0, 2)
 
 
+@pytest.mark.parametrize("pi_tot", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_budget_rejected(pi_tot):
+    with pytest.raises(GridError, match="finite"):
+        DisturbanceBudget(pi_tot, 2)
+
+
 class TestExpandPerformanceConstraint:
     def test_case_numbers(self):
         level = expand_performance_constraint(0.29, DisturbanceBudget(10.0, 9), 9)
