@@ -33,7 +33,7 @@ from .planner import (
     Agent,
     Allocation,
     CostCurve,
-    _soft_market,
+    _Market,
     dual_gamma_iterate,
     solve_centralized_hard,
     solve_centralized_soft,
@@ -60,8 +60,10 @@ _CONSISTENCY_TOL = 1e-7
 
 @dataclass(frozen=True)
 class AuctionOutcome:
-    """Cleared quantities, payments, and the audit trail of objectives.
+    """Cleared plan, payments, and the audit trail of objectives.
 
+    ``allocation`` is the cleared plan; its objective is the social cost
+    the market minimized (the bid cost alone in capped mode).
     ``utilities`` is filled only when true costs are supplied (payment
     minus true cost of the cleared quantity). ``exclusion_objectives[k]``
     is the social cost of the optimal plan with agent k absent; it is
@@ -69,16 +71,26 @@ class AuctionOutcome:
     ``m0`` and ``pi_tot`` record the problem the outcome was solved on.
     """
 
-    mu: np.ndarray
+    allocation: Allocation
     payments: np.ndarray
     utilities: np.ndarray | None
-    objective: float
     exclusion_objectives: np.ndarray
-    level: float
     gamma: float
     mode: str  # "soft" (trade-off) or "hard" (capped)
     m0: np.ndarray
     pi_tot: float
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.allocation.mu
+
+    @property
+    def level(self) -> float:
+        return self.allocation.level
+
+    @property
+    def objective(self) -> float:
+        return self.allocation.objective
 
 
 def _bid_value(agents, mu) -> float:
@@ -162,7 +174,7 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     base objective and its payment exactly zero.
     """
     m0 = np.asarray(m0, dtype=float)
-    market = _soft_market(gamma, m0, bids, budget)
+    market = _Market(m0, bids, budget)
     base = market.solve(float(gamma))
     n_agents = len(bids)
     payments = np.zeros(n_agents)
@@ -172,12 +184,10 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
         excl_objs[k] = market.exclusion_objective(k, float(gamma)) if q > 0 else base.objective
         payments[k] = _externality_payment(excl_objs[k], base.objective, bids[k].curve.value(q))
     return AuctionOutcome(
-        mu=base.mu,
+        allocation=base,
         payments=payments,
         utilities=_utilities(payments, base.mu, true_costs),
-        objective=base.objective,
         exclusion_objectives=excl_objs,
-        level=base.level,
         gamma=float(gamma),
         mode="soft",
         m0=m0,
@@ -191,8 +201,8 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     Quantities come from the minimum-cost solve under
     Gamma(m) <= gamma_bar; agent k's payment is the abstention re-solve's
     cost increase plus its own bid value. The equivalent trade-off
-    multiplier is recovered by the dual iteration and reported in
-    ``gamma``.
+    multiplier comes from ``dual_gamma_iterate`` in closed form and is
+    reported in ``gamma``.
     """
     m0 = np.asarray(m0, dtype=float)
     base = solve_centralized_hard(gamma_bar, m0, bids, budget)
@@ -208,12 +218,10 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
         )
     gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
     return AuctionOutcome(
-        mu=base.mu,
+        allocation=base,
         payments=payments,
         utilities=_utilities(payments, base.mu, true_costs),
-        objective=base_cost,
         exclusion_objectives=excl_costs,
-        level=base.level,
         gamma=gamma_star,
         mode="hard",
         m0=m0,
@@ -227,11 +235,14 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Result of a truthfulness audit over randomized deviations."""
+    """Result of a clean truthfulness audit over randomized deviations.
+
+    A violation beyond ``tolerance`` raises :class:`AuditError` instead,
+    so a report only exists when every trial passed.
+    """
 
     trials: int
     max_violation: float
-    violations: int
     mean_truthful_utility: float
     mean_deviation_utility: float
     tolerance: float
@@ -325,7 +336,6 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
     return AuditReport(
         trials=trials,
         max_violation=max_violation,
-        violations=0,
         mean_truthful_utility=sum_truth / trials,
         mean_deviation_utility=sum_dev / trials,
         tolerance=AUDIT_TOL,

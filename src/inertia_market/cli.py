@@ -23,12 +23,7 @@ from .errors import (
 )
 from .grid import assemble_state_space, output_matrix_primary_effort
 from .h2 import h2_norm_sq_gramian, h2_primary_effort_closed, upper_bound_worst
-from .planner import (
-    Allocation,
-    regulatory_allocation,
-    solve_centralized_hard,
-    solve_centralized_soft,
-)
+from .planner import regulatory_allocation, solve_centralized_hard, solve_centralized_soft
 from .report import emit_report, make_report
 from .robust import worst_case_metric
 from .scenario import case_study, emit_scenario, parse_scenario
@@ -185,24 +180,10 @@ def _cmd_auction(args) -> int:
     else:
         outcome = run_auction(bids, gamma, scn.m0, scn.budget, true_costs=costs)
         title = f"auction (gamma={gamma:g})"
-    alloc_like = _outcome_allocation(scn, bids, outcome)
-    report = make_report(scn, alloc_like, payments=outcome.payments,
+    report = make_report(scn, outcome.allocation, payments=outcome.payments,
                          utilities=outcome.utilities, title=title)
     _emit(report, args.format, args.out)
     return 0
-
-
-def _outcome_allocation(scn, bids, outcome):
-    m = np.array(scn.m0, dtype=float)
-    for ag, q in zip(bids, outcome.mu):
-        m[ag.bus] += q
-    gamma_term = 0.0
-    cost_term = outcome.objective
-    if outcome.mode == "soft":
-        gamma_term = outcome.gamma * worst_case_metric(m, scn.budget).gamma
-        cost_term = outcome.objective - gamma_term
-    return Allocation(mu=outcome.mu, m=m, level=outcome.level,
-                      objective_parts=(gamma_term, cost_term))
 
 
 def _cmd_compare(args, scn=None) -> int:
@@ -225,7 +206,7 @@ def _cmd_compare(args, scn=None) -> int:
         "centralized": make_report(scn, central, title=f"centralized (gamma_bar={gamma_bar:g})"),
         "market": make_report(
             scn,
-            _outcome_allocation(scn, bids, outcome),
+            outcome.allocation,
             payments=outcome.payments,
             utilities=outcome.utilities,
             title=f"market (gamma_bar={gamma_bar:g}, gamma*={outcome.gamma:.6g})",

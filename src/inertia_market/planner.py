@@ -10,7 +10,9 @@ piecewise-linear in L, which makes the trade-off objective
 convex with finitely many slope breakpoints. The solver sorts the
 breakpoints of every bus into one sweep of the aggregate slope, finds the
 piece holding the minimizer by binary search, minimizes analytically
-inside it, and is exact up to floating point.
+inside it, and is exact up to floating point. The capped problem fixes
+the level at pi_tot / gamma_bar, and the same sweep gives its multiplier
+in closed form from the slope of the fill cost there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, InfeasibleError, NumericsError, ScenarioError
+from .errors import GridError, InfeasibleError, ScenarioError
 from .robust import DisturbanceBudget, expand_performance_constraint, worst_case_metric
 
 __all__ = [
@@ -34,11 +36,6 @@ __all__ = [
     "dual_gamma_iterate",
     "regulatory_allocation",
 ]
-
-# Bisection control for the dual iteration on gamma.
-DUAL_GAMMA_TOL = 1e-9
-DUAL_MAX_STEPS = 200
-
 
 @dataclass(frozen=True)
 class CostCurve:
@@ -160,11 +157,6 @@ class _BusSupply:
             return self.knot_costs[-1]
         return self.knot_costs[j] + (q - self.knots[j]) * self.tiers[j][0]
 
-    def marginal_price_at(self, q: float) -> float:
-        j = bisect_right(self.knots, q) - 1
-        j = min(max(j, 0), len(self.tiers) - 1)
-        return self.tiers[j][0]
-
     def fill(self, q: float):
         """Minimum-cost fills summing to ``q`` with the equal-split tie rule.
 
@@ -224,35 +216,6 @@ def node_fill_cost(agents_at_bus, target: float, m0_i: float):
     return supply.fill(max(0.0, target - m0_i))
 
 
-def _group_by_bus(n: int, agents, excluded):
-    by_bus = [[] for _ in range(n)]
-    for k, ag in enumerate(agents):
-        if ag.bus < 0 or ag.bus >= n:
-            raise GridError(f"agent {ag.id!r}: bus index {ag.bus} out of range")
-        if k in excluded:
-            continue
-        by_bus[ag.bus].append((k, ag))
-    return by_bus
-
-
-def _assemble(m0, agents, level, supplies, by_bus, gamma, budget):
-    n = len(m0)
-    mu = np.zeros(len(agents))
-    m = np.array(m0, dtype=float)
-    cost = 0.0
-    for i in range(n):
-        need = max(0.0, level - m0[i])
-        if need <= 0 or not by_bus[i]:
-            continue
-        bus_cost, fills = supplies[i].fill(min(need, supplies[i].capacity))
-        cost += bus_cost
-        for (k, _), f in zip(by_bus[i], fills):
-            mu[k] = f
-            m[i] += f
-    gamma_term = gamma * worst_case_metric(m, budget).gamma if gamma > 0 else 0.0
-    return Allocation(mu=mu, m=m, level=float(level), objective_parts=(float(gamma_term), float(cost)))
-
-
 def _price_at(starts, prices, x):
     """Marginal price at level ``x`` of a bus whose tiers begin at ``starts``."""
     t = bisect_right(starts, x) - 1
@@ -264,14 +227,15 @@ def _tier_starts(m0_i, supply):
     return [m0_i + knot for knot in supply.knots[:-1]], [price for price, _ in supply.tiers]
 
 
-class _SoftMarket:
-    """The trade-off market swept once into its aggregate fill-cost curve.
+class _Market:
+    """One market's bus supplies and its aggregate fill-cost curve.
 
     Every bus contributes slope-increment events (m0_i + knot_j,
     price_j - price_{j-1}). Sorted, they give the breakpoints ``pts`` of
     the total fill cost C(L) on [min m0, reach cap], its slope on each
     piece and its value at each breakpoint. Minimizing weight / L + C(L)
-    is then a binary search over pieces and a clamped stationary point.
+    is then a binary search over pieces and a clamped stationary point;
+    a capped plan fills to the level its cap requires.
 
     The same arrays price every single-agent abstention: removing agent k
     at bus b changes C only through bus b's own supply.
@@ -280,16 +244,21 @@ class _SoftMarket:
     def __init__(self, m0, agents, budget, excluded=frozenset()):
         m0 = np.asarray(m0, dtype=float)
         n = m0.shape[0]
-        if np.any(m0 <= 0):
-            raise GridError("residual inertia must be positive at every bus")
         if budget.n != n:
             raise GridError(f"budget dimension {budget.n} does not match {n} buses")
+        levels = m0.tolist()
+        if not all(0 < x < math.inf for x in levels):  # NaN fails both comparisons
+            raise GridError("residual inertia must be positive and finite at every bus")
         self.m0, self.agents, self.budget = m0, agents, budget
-        self.by_bus = _group_by_bus(n, agents, excluded)
+        self.by_bus = [[] for _ in range(n)]  # (agent index, agent) per bus, absentees left out
+        for k, ag in enumerate(agents):
+            if ag.bus < 0 or ag.bus >= n:
+                raise GridError(f"agent {ag.id!r}: bus index {ag.bus} out of range")
+            if k not in excluded:
+                self.by_bus[ag.bus].append((k, ag))
         self.supplies = [
             _BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(self.by_bus[i])]) for i in range(n)
         ]
-        levels = m0.tolist()
         reach = [levels[i] + self.supplies[i].capacity for i in range(n)]
         self.lo = min(levels)
         self.cap = min(reach)
@@ -297,33 +266,42 @@ class _SoftMarket:
         order = sorted(range(n), key=reach.__getitem__)
         self._cap_bus = order[0]
         self._next_reach = reach[order[1]] if n > 1 else math.inf
+        self._curve = None
 
+    def _sweep(self):
+        """Breakpoints ``pts`` of C (lo .. cap), its slope on (pts[j], pts[j+1]) and C(pts[j]).
+
+        Built on first use: a capped plan fills to a given level and never needs it.
+        """
+        if self._curve is not None:
+            return self._curve
         events = []
-        for i, supply in enumerate(self.supplies):
+        for m0_i, supply in zip(self.m0.tolist(), self.supplies):
             prev = 0.0
-            for level, price in zip(*_tier_starts(levels[i], supply)):
+            for level, price in zip(*_tier_starts(m0_i, supply)):
                 if level >= self.cap:
                     break
                 events.append((level, price - prev))
                 prev = price
         events.sort()
-        self.pts = [self.lo]  # breakpoints of C, lo .. cap
-        self.slopes = []  # slope of C on (pts[j], pts[j+1])
-        self.costs = [0.0]  # C(pts[j])
+        pts, slopes, costs = [self.lo], [], [0.0]
         slope = 0.0
         for level, increment in events + [(self.cap, 0.0)]:  # the cap closes the last piece
-            if level > self.pts[-1]:
-                self.slopes.append(slope)
-                self.costs.append(self.costs[-1] + slope * (level - self.pts[-1]))
-                self.pts.append(level)
+            if level > pts[-1]:
+                slopes.append(slope)
+                costs.append(costs[-1] + slope * (level - pts[-1]))
+                pts.append(level)
             slope += increment
+        self._curve = pts, slopes, costs
+        return self._curve
 
     def cost(self, level: float) -> float:
         """Total fill cost C(level) of lifting every bus to ``level``."""
-        j = min(bisect_right(self.pts, level) - 1, len(self.slopes) - 1)
+        pts, slopes, costs = self._sweep()
+        j = min(bisect_right(pts, level) - 1, len(slopes) - 1)
         if j < 0:
             return 0.0
-        return self.costs[j] + self.slopes[j] * (level - self.pts[j])
+        return costs[j] + slopes[j] * (level - pts[j])
 
     def level(self, weight: float, swap=None) -> float:
         """Minimizer of weight / L + C(L) over [min m0, reach cap].
@@ -336,6 +314,7 @@ class _SoftMarket:
         """
         if weight <= 0:
             return self.lo
+        pts, slopes, _ = self._sweep()
         top = self.cap
         extra = []  # breakpoints of the swapped-in supply
         if swap is not None:
@@ -344,23 +323,23 @@ class _SoftMarket:
             top = min(self._next_reach if b == self._cap_bus else self.cap, m0_b + supply.capacity)
             old_starts, old_prices = _tier_starts(m0_b, self.supplies[b])
             extra, new_prices = _tier_starts(m0_b, supply)
-        last = len(self.slopes) - 1
+        last = len(slopes) - 1
 
         def slope_at(x):
-            s = self.slopes[min(bisect_right(self.pts, x) - 1, last)]
+            s = slopes[min(bisect_right(pts, x) - 1, last)]
             if swap is not None:
                 s += _price_at(extra, new_prices, x) - _price_at(old_starts, old_prices, x)
             return s
 
         def piece_end(j):
             """Right end of piece j within [lo, top] and its last sub-piece's midpoint."""
-            r = min(self.pts[j + 1], top)
+            r = min(pts[j + 1], top)
             t = bisect_left(extra, r)
-            a = max(self.pts[j], extra[t - 1]) if t else self.pts[j]
+            a = max(pts[j], extra[t - 1]) if t else pts[j]
             return r, 0.5 * (a + r)
 
         # Smallest piece whose right end has nonnegative derivative.
-        n_pieces = bisect_left(self.pts, top)
+        n_pieces = bisect_left(pts, top)
         first, past = 0, n_pieces
         while first < past:
             j = (first + past) // 2
@@ -371,8 +350,8 @@ class _SoftMarket:
                 first = j + 1
         if first == n_pieces:
             return top
-        a = self.pts[first]
-        r = min(self.pts[first + 1], top)
+        a = pts[first]
+        r = min(pts[first + 1], top)
         # The last sub-piece is the one the search tested, so it always stops.
         for end in [e for e in extra if a < e < r] + [r]:
             s = slope_at(0.5 * (a + end))
@@ -380,9 +359,41 @@ class _SoftMarket:
                 return min(max(math.sqrt(weight / s), a), end)
             a = end
 
+    def required_level(self, gamma_bar: float) -> float:
+        """Level pi_tot / gamma_bar that the cap Gamma(m) <= gamma_bar needs.
+
+        Raises :class:`InfeasibleError` naming the bus that cannot reach it.
+        """
+        level = expand_performance_constraint(gamma_bar, self.budget, len(self.m0))
+        if level > self.cap and level - self.cap > 1e-9 * max(1.0, level):
+            raise InfeasibleError(
+                f"performance cap needs inertia level {level:.6g} but bus {self._cap_bus} "
+                f"can reach at most {self.cap:.6g}",
+                bus=self._cap_bus,
+            )
+        return level
+
+    def fill(self, level: float, gamma: float = 0.0) -> Allocation:
+        """Cheapest plan lifting every bus below ``level`` to it (or to its reach)."""
+        mu = np.zeros(len(self.agents))
+        m = self.m0.copy()
+        cost = 0.0
+        for i, members in enumerate(self.by_bus):
+            need = level - self.m0[i]
+            if need <= 0 or not members:
+                continue
+            bus_cost, fills = self.supplies[i].fill(min(need, self.supplies[i].capacity))
+            cost += bus_cost
+            for (k, _), f in zip(members, fills):
+                mu[k] = f
+                m[i] += f
+        gamma_term = gamma * worst_case_metric(m, self.budget).gamma if gamma > 0 else 0.0
+        return Allocation(mu=mu, m=m, level=float(level), objective_parts=(float(gamma_term), float(cost)))
+
     def solve(self, gamma: float) -> Allocation:
-        level = self.level(gamma * self.budget.pi_tot)
-        return _assemble(self.m0, self.agents, level, self.supplies, self.by_bus, gamma, self.budget)
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise GridError(f"gamma must be positive and finite, got {gamma!r}")
+        return self.fill(self.level(gamma * self.budget.pi_tot), gamma)
 
     def exclusion_objective(self, k: int, gamma: float) -> float:
         """Optimal trade-off objective with agent ``k`` absent, from this sweep."""
@@ -392,12 +403,6 @@ class _SoftMarket:
         level = self.level(weight, swap=(b, supply))
         q = level - float(self.m0[b])
         return weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
-
-
-def _soft_market(gamma, m0, agents, budget, excluded=()) -> _SoftMarket:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise GridError(f"gamma must be positive and finite, got {gamma!r}")
-    return _SoftMarket(m0, agents, budget, frozenset(excluded))
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -411,22 +416,7 @@ def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excl
     removes agents from the market (their allocation is pinned to zero),
     as an abstention does.
     """
-    return _soft_market(gamma, m0, agents, budget, excluded).solve(float(gamma))
-
-
-def _required_level(gamma_bar, m0, agents, budget, excluded):
-    level = expand_performance_constraint(gamma_bar, budget, len(m0))
-    by_bus = _group_by_bus(len(m0), agents, excluded)
-    supplies = [_BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(by_bus[i])]) for i in range(len(m0))]
-    reach = [float(m0[i]) + supplies[i].capacity for i in range(len(m0))]
-    worst = int(np.argmin(reach))
-    if level > reach[worst] and level - reach[worst] > 1e-9 * max(1.0, level):
-        raise InfeasibleError(
-            f"performance cap needs inertia level {level:.6g} but bus {worst} "
-            f"can reach at most {reach[worst]:.6g}",
-            bus=worst,
-        )
-    return level, by_bus, supplies
+    return _Market(m0, agents, budget, frozenset(excluded)).solve(float(gamma))
 
 
 def solve_centralized_hard(gamma_bar, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -436,73 +426,29 @@ def solve_centralized_hard(gamma_bar, m0, agents, budget: DisturbanceBudget, *, 
     pi_tot / gamma_bar at minimum cost; infeasibility is reported with the
     blocking bus.
     """
-    m0 = np.asarray(m0, dtype=float)
-    if np.any(m0 <= 0):
-        raise GridError("residual inertia must be positive at every bus")
-    excluded = frozenset(excluded)
-    level, by_bus, supplies = _required_level(gamma_bar, m0, agents, budget, excluded)
-    return _assemble(m0, agents, level, supplies, by_bus, 0.0, budget)
+    market = _Market(m0, agents, budget, frozenset(excluded))
+    return market.fill(market.required_level(gamma_bar))
 
 
 def dual_gamma_iterate(gamma_bar, m0, agents, budget: DisturbanceBudget):
-    """Bisection on the multiplier linking the trade-off and capped problems.
+    """Multiplier linking the trade-off and capped problems, in closed form.
 
-    Seeks gamma maximizing -gamma * gamma_bar + min_mu (cost + gamma *
-    Gamma), driving the trade-off solution's worst case onto the cap. The
-    sign of Gamma(m*(gamma)) - gamma_bar steers the bracket; the returned
-    allocation matches the hard-constrained cost to solver precision.
-    Returns (gamma_star, allocation).
+    The capped plan fills to L = pi_tot / gamma_bar. The trade-off plan
+    lands there iff 0 is a subgradient of gamma * pi_tot / L + C(L) at L,
+    i.e. gamma in L^2 * [S-(L), S+(L)] / pi_tot, where S-/S+ are the left
+    and right slopes of the total fill cost C. Returns (gamma_star,
+    allocation): the smallest such multiplier, L^2 * S-(L) / pi_tot (0 when
+    the cap is slack at m0), and the capped plan.
     """
-    m0 = np.asarray(m0, dtype=float)
-    if np.any(m0 <= 0):
-        raise GridError("residual inertia must be positive at every bus")
-    # Feasibility gate, with the blocking bus reported.
-    _required_level(gamma_bar, m0, agents, budget, frozenset())
-    market = _SoftMarket(m0, agents, budget)
-
-    if worst_case_metric(m0, budget).gamma <= gamma_bar:
-        return 0.0, _assemble(m0, agents, market.lo, market.supplies, market.by_bus, 0.0, budget)
-
-    def worst_at(gamma):
-        alloc = market.solve(gamma)
-        return worst_case_metric(alloc.m, budget).gamma, alloc
-
-    lo = 0.0
-    cost_lo = 0.0  # infeasible side never fills past the required level
-    hi = 1.0
-    for _ in range(DUAL_MAX_STEPS):
-        gamma_hi, alloc_hi = worst_at(hi)
-        if gamma_hi <= gamma_bar:
-            break
-        lo, cost_lo = hi, alloc_hi.total_cost
-        hi *= 2.0
-    else:
-        raise NumericsError("dual iteration failed to bracket the multiplier")
-
-    def converged():
-        if hi - lo > DUAL_GAMMA_TOL:
-            return False
-        # The bracket's costs sandwich the capped problem's optimum: the
-        # infeasible side underfills, the feasible side overfills. Closing
-        # that gap is what makes the returned cost trustworthy even when
-        # the multiplier itself is tiny.
-        gap = alloc_hi.total_cost - cost_lo
-        return gap <= max(1e-7 * abs(alloc_hi.total_cost), 5e-10)
-
-    steps = 0
-    while not converged():
-        steps += 1
-        if steps > DUAL_MAX_STEPS:
-            raise NumericsError(
-                f"dual iteration did not converge within {DUAL_MAX_STEPS} bisection steps"
-            )
-        mid = 0.5 * (lo + hi)
-        gamma_mid, alloc_mid = worst_at(mid)
-        if gamma_mid > gamma_bar:
-            lo, cost_lo = mid, alloc_mid.total_cost
-        else:
-            hi, alloc_hi = mid, alloc_mid
-    return hi, alloc_hi
+    market = _Market(m0, agents, budget)
+    level = market.required_level(gamma_bar)
+    # The piece ending at L: bisect_left puts a level on a breakpoint into the piece to its left.
+    pts, slopes, _ = market._sweep()
+    j = min(bisect_left(pts, level), len(slopes)) - 1
+    if j < 0:
+        return 0.0, market.fill(market.lo)
+    gamma = level * level * slopes[j] / budget.pi_tot
+    return gamma, market.fill(level, gamma)
 
 
 def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> Allocation:
@@ -511,15 +457,13 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
     Each deficient bus's gap to the required level splits over its agents
     in proportion to their capacities, regardless of cost.
     """
-    m0 = np.asarray(m0, dtype=float)
-    if np.any(m0 <= 0):
-        raise GridError("residual inertia must be positive at every bus")
-    level, by_bus, _ = _required_level(gamma_bar, m0, agents, budget, frozenset())
+    market = _Market(m0, agents, budget)
+    level = market.required_level(gamma_bar)
     mu = np.zeros(len(agents))
-    m = np.array(m0, dtype=float)
+    m = market.m0.copy()
     cost = 0.0
-    for i, members in enumerate(by_bus):
-        deficit = max(0.0, level - m0[i])
+    for i, members in enumerate(market.by_bus):
+        deficit = level - market.m0[i]
         if deficit <= 0 or not members:
             continue
         total_cap = sum(ag.cap for _, ag in members)

@@ -76,8 +76,8 @@ def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget, n
     L = pi_tot / gamma_bar. Returns that level; the cap holds iff every
     bus clears it.
     """
-    if gamma_bar <= 0:
-        raise GridError("gamma_bar must be positive")
+    if not (math.isfinite(gamma_bar) and gamma_bar > 0):
+        raise GridError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
     if n < 1:
         raise GridError("dimension must be at least 1")
     return budget.pi_tot / gamma_bar

@@ -28,6 +28,7 @@ without inertia-market participation (pure network/load buses).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,12 +148,12 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
         raise ScenarioError(f"{origin}: gamma and gamma_bar are mutually exclusive")
     if gamma is not None:
         gamma = float(gamma)
-        if gamma <= 0:
-            raise ScenarioError(f"{origin}: gamma must be positive")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ScenarioError(f"{origin}: gamma must be positive and finite")
     if gamma_bar is not None:
         gamma_bar = float(gamma_bar)
-        if gamma_bar <= 0:
-            raise ScenarioError(f"{origin}: gamma_bar must be positive")
+        if not (math.isfinite(gamma_bar) and gamma_bar > 0):
+            raise ScenarioError(f"{origin}: gamma_bar must be positive and finite")
 
     buses = doc.get("buses")
     if not isinstance(buses, list) or not buses:
@@ -169,15 +170,16 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{origin}: duplicate bus labels")
     m0 = np.asarray(m0, dtype=float)
-    if np.any(m0 <= 0):
-        bad = labels[int(np.argmin(m0))]
-        raise ScenarioError(f"{origin}: bus {bad!r}: m0 must be positive")
+    valid = np.isfinite(m0) & (m0 > 0)
+    if not valid.all():
+        bad = labels[int(np.argmin(valid))]
+        raise ScenarioError(f"{origin}: bus {bad!r}: m0 must be positive and finite")
     with_pi = [v is not None for v in pi_vals]
     if any(with_pi) and not all(with_pi):
         raise ScenarioError(f"{origin}: per-bus pi must be given for all buses or none")
     pi = np.asarray([float(v) for v in pi_vals], dtype=float) if all(with_pi) else None
-    if pi is not None and np.any(pi < 0):
-        raise ScenarioError(f"{origin}: per-bus pi must be nonnegative")
+    if pi is not None and not (np.isfinite(pi) & (pi >= 0)).all():
+        raise ScenarioError(f"{origin}: per-bus pi must be nonnegative and finite")
 
     agents = []
     ids = set()

@@ -3,8 +3,9 @@
 The oracles deliberately avoid the code paths they check: the Gramian
 oracle integrates the matrix exponential numerically, the planner oracle
 grid-searches the fill level, the worst-case oracle enumerates polytope
-vertices, and the auction oracle re-solves the market once per abstaining
-agent instead of reusing the base solve's sweep.
+vertices, the auction oracle re-solves the market once per abstaining
+agent instead of reusing the base solve's sweep, and the multiplier oracle
+bisects on trade-off solves instead of reading the fill-cost slope.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from inertia_market import (
     build_grid,
     exclusion_solve,
     solve_centralized_soft,
+    worst_case_metric,
 )
 
 
@@ -188,14 +190,47 @@ def run_auction_resolve_oracle(bids, gamma, m0, budget):
         ]
     )
     return AuctionOutcome(
-        mu=base.mu,
+        allocation=base,
         payments=payments,
         utilities=None,
-        objective=base.objective,
         exclusion_objectives=excl_objs,
-        level=base.level,
         gamma=float(gamma),
         mode="soft",
         m0=m0,
         pi_tot=budget.pi_tot,
     )
+
+
+def dual_gamma_bisection_oracle(gamma_bar, m0, agents, budget, tol=1e-9, max_steps=200):
+    """Bracket (lo, hi) on the capped problem's multiplier by bisection.
+
+    The trade-off plan at ``lo`` misses the cap Gamma(m) <= gamma_bar and
+    the one at ``hi`` meets it; doubling finds a bracket, then bisection
+    narrows it until it is ``tol`` wide and the two plans' costs (which
+    sandwich the capped optimum) agree. A cap slack at ``m0`` gives (0, 0).
+    """
+    if worst_case_metric(m0, budget).gamma <= gamma_bar:
+        return 0.0, 0.0
+
+    def meets_cap(gamma):
+        alloc = solve_centralized_soft(gamma, m0, agents, budget)
+        return worst_case_metric(alloc.m, budget).gamma <= gamma_bar, alloc.total_cost
+
+    lo, cost_lo, hi = 0.0, 0.0, 1.0
+    for _ in range(max_steps):
+        ok, cost_hi = meets_cap(hi)
+        if ok:
+            break
+        lo, cost_lo, hi = hi, cost_hi, 2.0 * hi
+    else:
+        raise AssertionError("bisection oracle failed to bracket the multiplier")
+    for _ in range(max_steps):
+        if hi - lo <= tol and cost_hi - cost_lo <= max(1e-7 * abs(cost_hi), 5e-10):
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        ok, cost_mid = meets_cap(mid)
+        if ok:
+            hi, cost_hi = mid, cost_mid
+        else:
+            lo, cost_lo = mid, cost_mid
+    raise AssertionError(f"bisection oracle did not converge in {max_steps} steps")

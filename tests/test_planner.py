@@ -21,7 +21,7 @@ from inertia_market import (
     worst_case_metric,
 )
 
-from helpers import grid_search_objective, random_market
+from helpers import dual_gamma_bisection_oracle, grid_search_objective, random_market
 
 LEVEL = 10.0 / 0.29  # required level of the bundled study
 
@@ -234,12 +234,12 @@ class TestDualGammaIterate:
         assert alloc.total_cost == pytest.approx(201.63, abs=0.01)
 
     def test_single_bus_bracket(self):
-        # At the cap 1/3 the required level 3 is a supply breakpoint, so any
-        # multiplier between the bracketing slopes solves it; assert the
-        # worst case, not a unique multiplier.
+        # At the cap 1/3 the required level 3 is where A's price 1 gives way
+        # to B's price 3, so any multiplier in 3^2 * [1, 3] / 1 = [9, 27]
+        # solves it; the closed form returns the left-slope end.
         m0, agents, budget = single_bus_instance()
         gamma_star, alloc = dual_gamma_iterate(1.0 / 3.0, m0, agents, budget)
-        assert 9.0 - 1e-6 <= gamma_star <= 27.0 + 1e-6
+        assert gamma_star == 9.0
         assert worst_case_metric(alloc.m, budget).gamma == pytest.approx(1.0 / 3.0, rel=1e-7)
 
     def test_slack_cap_returns_zero_multiplier(self):
@@ -247,6 +247,42 @@ class TestDualGammaIterate:
         gamma_star, alloc = dual_gamma_iterate(5.0, m0, agents, budget)
         assert gamma_star == 0.0
         np.testing.assert_array_equal(alloc.mu, 0.0)
+
+    def test_zero_slope_at_the_level_gives_zero_multiplier(self):
+        # Free supply covers the whole gap: C has slope 0 left of L = 2.
+        agents = [Agent("free", 0, CostCurve(((1.5, 0.0), (1.0, 4.0))))]
+        m0, budget = np.array([1.0, 3.0]), DisturbanceBudget(2.0, 2)
+        gamma_star, alloc = dual_gamma_iterate(1.0, m0, agents, budget)
+        assert gamma_star == 0.0
+        assert alloc.mu[0] == pytest.approx(1.0, rel=1e-12)
+        assert alloc.total_cost == 0.0
+        assert worst_case_metric(alloc.m, budget).gamma <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("price_grid", [None, [0.0, 1.0, 2.0, 5.0]], ids=["continuous", "tied"])
+    def test_closed_form_inside_bisection_bracket(self, price_grid):
+        rng = np.random.default_rng(113)
+        checked = 0
+        for _ in range(300):
+            m0, agents, budget = random_market(rng, price_grid=price_grid)
+            gamma_bar = float(worst_case_metric(m0, budget).gamma * rng.uniform(0.5, 1.2))
+            try:
+                hard = solve_centralized_hard(gamma_bar, m0, agents, budget)
+            except InfeasibleError:
+                continue
+            lo, hi = dual_gamma_bisection_oracle(gamma_bar, m0, agents, budget)
+            gamma_star, alloc = dual_gamma_iterate(gamma_bar, m0, agents, budget)
+            assert lo * (1 - 1e-12) <= gamma_star <= hi * (1 + 1e-12)
+            assert alloc.total_cost == pytest.approx(hard.total_cost, rel=1e-12, abs=1e-12)
+            assert worst_case_metric(alloc.m, budget).gamma <= gamma_bar * (1 + 1e-9)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_cap_rejected(self, bad):
+        m0, agents, budget = single_bus_instance()
+        for solve in (dual_gamma_iterate, solve_centralized_hard, regulatory_allocation):
+            with pytest.raises(GridError, match="gamma_bar"):
+                solve(bad, m0, agents, budget)
 
 
 class TestRegulatory:
@@ -297,3 +333,18 @@ def test_gamma_must_be_finite():
     m0, agents, budget = single_bus_instance()
     with pytest.raises(GridError, match="gamma"):
         solve_centralized_soft(math.nan, m0, agents, budget)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_residual_inertia_must_be_positive_and_finite(bad):
+    _, agents, _ = single_bus_instance()
+    m0, budget = np.array([2.0, bad]), DisturbanceBudget(1.0, 2)
+    calls = [
+        lambda: solve_centralized_soft(1.0, m0, agents, budget),
+        lambda: solve_centralized_hard(1.0, m0, agents, budget),
+        lambda: dual_gamma_iterate(1.0, m0, agents, budget),
+        lambda: regulatory_allocation(1.0, m0, agents, budget),
+    ]
+    for call in calls:
+        with pytest.raises(GridError, match="residual inertia"):
+            call()

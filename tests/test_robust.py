@@ -102,6 +102,11 @@ class TestExpandPerformanceConstraint:
         with pytest.raises(GridError, match="gamma_bar"):
             expand_performance_constraint(0.0, DisturbanceBudget(1.0, 2), 2)
 
+    @pytest.mark.parametrize("gamma_bar", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_cap(self, gamma_bar):
+        with pytest.raises(GridError, match="finite"):
+            expand_performance_constraint(gamma_bar, DisturbanceBudget(1.0, 2), 2)
+
     def test_equality_at_the_level(self):
         budget = DisturbanceBudget(10.0, 3)
         level = expand_performance_constraint(0.29, budget, 3)

@@ -63,6 +63,36 @@ def test_schema_violations_are_diagnosed(tmp_path, mutate, message):
         parse_scenario(write_doc(tmp_path, doc))
 
 
+def _with_gamma_bar(doc, value):
+    del doc["gamma"]
+    doc["gamma_bar"] = value
+
+
+def _with_pi(doc, values):
+    for bus, pi in zip(doc["buses"], values):
+        bus["pi"] = pi
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: _with_gamma_bar(d, float("nan")), "gamma_bar must be positive and finite"),
+        (lambda d: _with_gamma_bar(d, float("inf")), "gamma_bar must be positive and finite"),
+        (lambda d: d.update(gamma=float("nan")), "gamma must be positive and finite"),
+        (lambda d: d["buses"][1].update(m0=float("nan")), "bus '2': m0 must be positive and finite"),
+        (lambda d: d["buses"][0].update(m0=float("inf")), "bus '1': m0 must be positive and finite"),
+        (lambda d: _with_pi(d, [1.0, float("nan")]), "pi must be nonnegative and finite"),
+        (lambda d: _with_pi(d, [float("inf"), 1.0]), "pi must be nonnegative and finite"),
+    ],
+    ids=["gamma_bar-nan", "gamma_bar-inf", "gamma-nan", "m0-nan", "m0-inf", "pi-nan", "pi-inf"],
+)
+def test_non_finite_values_rejected(tmp_path, mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(write_doc(tmp_path, doc))
+
+
 def test_decreasing_marginal_prices_rejected(tmp_path):
     doc = minimal_doc()
     doc["agents"][0]["bid"] = [
