@@ -3,8 +3,11 @@
 
 Draws random instances (buses, residual inertia, convex cost curves),
 runs the dominant-strategy audit on each, and prints per-instance and
-aggregate statistics. A nonzero exit means some deviation beat truthful
-bidding beyond tolerance, with the offending instance dumped for replay.
+aggregate statistics. The closing line also counts the vacuous instances,
+whose truthful and deviation utilities and violation are all 0, so that
+"all clean" is read against what was really checked. A nonzero exit means
+some deviation beat truthful bidding beyond tolerance, with the offending
+instance dumped for replay.
 """
 
 import argparse
@@ -42,6 +45,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     worst = -np.inf
+    vacuous = 0
     for k in range(args.instances):
         m0, agents = random_instance(rng, args.max_buses, args.max_agents)
         budget = DisturbanceBudget(pi_tot=float(rng.uniform(0.5, 20.0)), n=len(m0))
@@ -55,12 +59,16 @@ def main() -> int:
             print(yaml.safe_dump(exc.instance), file=sys.stderr)
             return 1
         worst = max(worst, report.max_violation)
+        # Every trial compared 0 with 0: nothing was tested on this instance.
+        if report.mean_truthful_utility == report.mean_deviation_utility == report.max_violation == 0:
+            vacuous += 1
         print(
             f"instance {k:3d}: trials={report.trials} max_violation={report.max_violation:+.3e} "
             f"mean_truthful_utility={report.mean_truthful_utility:.4f}"
         )
     print(f"all clean: {args.instances} instances x {args.trials} trials, "
-          f"worst violation {worst:+.3e}")
+          f"worst violation {worst:+.3e}, {vacuous} vacuous (truthful utility, "
+          f"deviation utility and violation all 0)")
     return 0
 
 

@@ -18,7 +18,8 @@ value at the cleared quantity. Two clearing objectives are supported:
   keep the cap. The cap binds in the base and abstention problems alike,
   so the metric terms cancel out of payments and the externality is a pure
   cost difference. An abstention re-solve can be infeasible when a
-  provider is indispensable; that is reported as an error, never hidden.
+  provider is indispensable; that is reported as one error naming every
+  such provider, never hidden.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError, ContractError, GridError
+from .errors import AuditError, ContractError, GridError, InfeasibleError
 from .planner import (
     Agent,
     Allocation,
@@ -202,7 +203,8 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     Gamma(m) <= gamma_bar; agent k's payment is the abstention re-solve's
     cost increase plus its own bid value. The equivalent trade-off
     multiplier comes from ``dual_gamma_iterate`` in closed form and is
-    reported in ``gamma``.
+    reported in ``gamma``. When some abstentions cannot meet the cap, one
+    :class:`InfeasibleError` names all those pivotal agents and their buses.
     """
     m0 = np.asarray(m0, dtype=float)
     base = solve_centralized_hard(gamma_bar, m0, bids, budget)
@@ -210,11 +212,22 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     n_agents = len(bids)
     payments = np.zeros(n_agents)
     excl_costs = np.zeros(n_agents)
+    pivotal = []
     for k in range(n_agents):
-        excl = solve_centralized_hard(gamma_bar, m0, bids, budget, excluded=(k,))
+        try:
+            excl = solve_centralized_hard(gamma_bar, m0, bids, budget, excluded=(k,))
+        except InfeasibleError:
+            pivotal.append(k)
+            continue
         excl_costs[k] = excl.total_cost
         payments[k] = _externality_payment(
             excl.total_cost, base_cost, bids[k].curve.value(float(base.mu[k]))
+        )
+    if pivotal:
+        raise InfeasibleError(
+            "the cap cannot be met if any of these pivotal agents abstains: "
+            + ", ".join(f"{bids[k].id!r} (bus {bids[k].bus})" for k in pivotal),
+            bus=bids[pivotal[0]].bus,
         )
     gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
     return AuctionOutcome(

@@ -15,6 +15,7 @@ shift of all angles), so output matrices must annihilate that direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +77,13 @@ def build_grid(raw: dict) -> Grid:
             raise GridError(f"buses[{k}]: expected label/m0/d, got {entry!r}") from exc
     if len(set(labels)) != len(labels):
         raise GridError("duplicate bus labels")
+    for name, values in (("inertia m0", m0), ("damping d", d)):
+        for label, x in zip(labels, values):
+            if not 0 < x < math.inf:  # NaN fails both comparisons
+                raise GridError(f"bus {label!r}: {name} must be positive and finite")
     n = len(labels)
     m0 = np.asarray(m0, dtype=float)
     d = np.asarray(d, dtype=float)
-    if np.any(m0 <= 0):
-        bad = labels[int(np.argmin(m0))]
-        raise GridError(f"bus {bad!r}: inertia m0 must be positive")
-    if np.any(d <= 0):
-        bad = labels[int(np.argmin(d))]
-        raise GridError(f"bus {bad!r}: damping d must be positive")
 
     index = {lab: k for k, lab in enumerate(labels)}
     lines = []
@@ -98,8 +97,8 @@ def build_grid(raw: dict) -> Grid:
             raise GridError(f"lines[{k}]: unknown bus or missing field in {entry!r}") from exc
         if i == j:
             raise GridError(f"lines[{k}]: endpoints must be distinct")
-        if b < 0:
-            raise GridError(f"lines[{k}]: susceptance must be nonnegative")
+        if not 0 <= b < math.inf:
+            raise GridError(f"lines[{k}]: susceptance must be nonnegative and finite")
         pair = (min(i, j), max(i, j))
         if pair in seen:
             raise GridError(f"lines[{k}]: duplicate line between {labels[i]!r} and {labels[j]!r}")

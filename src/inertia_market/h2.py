@@ -15,6 +15,12 @@ Three routes are provided and cross-validated against each other:
 * ``upper_bound_ub`` / ``upper_bound_worst``: a bound convex in m for
   block-partitioned output weights, finite even where the exact metric is
   non-convex in m.
+
+Only the Gramian route needs scipy (``null_space`` and
+``solve_continuous_lyapunov``). ``solve_constrained_lyapunov`` imports
+them when it runs, so importing this module, the package or the CLI loads
+no scipy: that import costs more than the rest of the package together,
+and the planner, auction and closed-form metrics never use it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, solve_continuous_lyapunov
 
 from .errors import GridError, NumericsError
 from .grid import Grid, StateSpace, drift_mode, laplacian
@@ -84,6 +89,9 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
     solves the reduced dense Lyapunov equation, which has a unique solution
     because the reduced matrix is Hurwitz.
     """
+    # Loaded here, not at module level: see the module docstring.
+    from scipy.linalg import null_space, solve_continuous_lyapunov
+
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:

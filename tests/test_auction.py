@@ -11,6 +11,7 @@ from inertia_market import (
     ContractError,
     CostCurve,
     DisturbanceBudget,
+    InfeasibleError,
     agent_utility,
     case_study,
     exclusion_solve,
@@ -309,6 +310,20 @@ class TestHardModeAuction:
         k = next(i for i, ag in enumerate(scn.agents) if ag.id == "12a")
         deficit = 10.0 / 0.29 - 19.98986085
         assert out.payments[k] == pytest.approx(deficit * 4 + deficit, rel=1e-9)
+
+    def test_names_every_pivotal_agent(self):
+        # Level 4 needs 3 units at each bus: only A has them at bus 0 and only
+        # B at bus 1 (C's one unit falls short), so A and B are both pivotal.
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 5.0)),
+            Agent("C", 1, CostCurve.linear(3.0, 1.0)),
+            Agent("B", 1, CostCurve.linear(2.0, 5.0)),
+        ]
+        m0, budget = np.array([1.0, 1.0]), DisturbanceBudget(4.0, 2)
+        pattern = r"pivotal agents abstains: 'A' \(bus 0\), 'B' \(bus 1\)$"
+        with pytest.raises(InfeasibleError, match=pattern) as exc_info:
+            run_auction_hard(agents, 1.0, m0, budget)
+        assert exc_info.value.bus == 0
 
     def test_reports_equivalent_multiplier(self):
         scn = case_study()

@@ -4,11 +4,16 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
 
+import inertia_market
 from inertia_market import case_study, emit_scenario
 from inertia_market.cli import cli_dispatch
 
@@ -225,6 +230,23 @@ def test_nan_residual_inertia_exit_one(capsys, tmp_path):
     assert "m0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["h2", "--method", "upper-bound"], ["h2", "--method", "gramian"]],
+    ids=["validate", "h2-upper-bound", "h2-gramian"],
+)
+def test_nan_grid_inertia_exit_one(capsys, tmp_path, argv):
+    # The first "m0: 1.0" is grid hub bus 3; the market buses carry no inertia of 1.
+    path = tmp_path / "nan_grid_m0.yaml"
+    text = Path(CASE_FILE).read_text()
+    path.write_text(text.replace("    m0: 1.0\n", "    m0: .nan\n", 1))
+    assert "label: '3'\n    m0: .nan" in path.read_text()
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "bus '3'" in err and "finite" in err
+
+
 def _cli_refs():
     with open(CLI_REFS, encoding="utf-8") as fh:
         return json.load(fh)
@@ -294,6 +316,36 @@ def test_case_study_bundle(capsys, tmp_path):
     market_rows, _ = parse_report_csv((out_dir / "market.csv").read_text())
     market_mu = [float(r["mu"]) for r in market_rows]
     assert central_mu == pytest.approx(market_mu, abs=1e-9)
+
+
+def test_import_loads_no_scipy_until_the_gramian():
+    # A fresh interpreter: this process already holds scipy through the test oracles.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import inertia_market, inertia_market.cli
+        before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        from inertia_market import assemble_state_space, build_grid, h2_norm_sq_gramian
+        from inertia_market import output_matrix_primary_effort
+        grid = build_grid({
+            "buses": [{"label": "a", "m0": 1.0, "d": 1.0}, {"label": "b", "m0": 2.0, "d": 1.0}],
+            "lines": [{"from": "a", "to": "b", "b": 1.0}],
+        })
+        space = assemble_state_space(grid, grid.m0, [1.0, 1.0], output_matrix_primary_effort(grid.d))
+        value = h2_norm_sq_gramian(space)
+        print(json.dumps({"before": before, "value": value, "after": "scipy" in sys.modules}))
+        """
+    )
+    src = str(Path(inertia_market.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    result = json.loads(proc.stdout)
+    assert result["before"] == []
+    # Closed form with kappa=2: sum(pi_i / (2 m_i)) = 1/2 + 1/4.
+    assert result["value"] == pytest.approx(0.75, rel=1e-9)
+    assert result["after"]
 
 
 def test_version_flag(capsys):

@@ -49,6 +49,12 @@ def test_single_bus_degenerate_grid_accepted():
         ([1.0, 1.0], [1.0, 1.0], [(0, 1, -0.5)], "susceptance"),
         ([1.0, 1.0], [1.0, 1.0], [(0, 0, 1.0)], "distinct"),
         ([1.0, 1.0], [1.0, 1.0], [(0, 1, 1.0), (1, 0, 2.0)], "duplicate"),
+        ([1.0, np.nan], [1.0, 1.0], [(0, 1, 1.0)], "inertia m0 must be positive and finite"),
+        ([1.0, np.inf], [1.0, 1.0], [(0, 1, 1.0)], "inertia m0 must be positive and finite"),
+        ([1.0, 1.0], [np.nan, 1.0], [(0, 1, 1.0)], "damping d must be positive and finite"),
+        ([1.0, 1.0], [1.0, np.inf], [(0, 1, 1.0)], "damping d must be positive and finite"),
+        ([1.0, 1.0], [1.0, 1.0], [(0, 1, np.nan)], "susceptance must be nonnegative and finite"),
+        ([1.0, 1.0], [1.0, 1.0], [(0, 1, np.inf)], "susceptance must be nonnegative and finite"),
     ],
 )
 def test_invalid_grids_rejected(m0, d, lines, message):
