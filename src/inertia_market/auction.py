@@ -20,14 +20,18 @@ value at the cleared quantity. Two clearing objectives are supported:
   cost difference. An abstention re-solve can be infeasible when a
   provider is indispensable; that is reported as one error naming every
   such provider, never hidden.
+
+Clearing is scalar arithmetic on tuples of floats and loads no numpy. The
+incentive audit draws its random bids from numpy's ``Generator``, which
+``random_convex_curve``, ``deviation_curve`` and ``incentive_audit``
+import when they run: a seed keeps giving the same draws, so stored audit
+results stay comparable, and clearing commands skip the numpy import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import AuditError, ContractError, GridError, InfeasibleError
 from .planner import (
@@ -70,19 +74,20 @@ class AuctionOutcome:
     is the social cost of the optimal plan with agent k absent; it is
     never below ``objective`` because abstention shrinks the feasible set.
     ``m0`` and ``pi_tot`` record the problem the outcome was solved on.
+    The per-agent and per-bus fields are tuples of floats.
     """
 
     allocation: Allocation
-    payments: np.ndarray
-    utilities: np.ndarray | None
-    exclusion_objectives: np.ndarray
+    payments: tuple[float, ...]
+    utilities: tuple[float, ...] | None
+    exclusion_objectives: tuple[float, ...]
     gamma: float
     mode: str  # "soft" (trade-off) or "hard" (capped)
-    m0: np.ndarray
+    m0: tuple[float, ...]
     pi_tot: float
 
     @property
-    def mu(self) -> np.ndarray:
+    def mu(self) -> tuple[float, ...]:
         return self.allocation.mu
 
     @property
@@ -99,7 +104,7 @@ def _bid_value(agents, mu) -> float:
 
 
 def _worst_case(m, pi_tot) -> float:
-    budget = DisturbanceBudget(pi_tot=pi_tot, n=int(np.asarray(m).shape[0]))
+    budget = DisturbanceBudget(pi_tot=pi_tot, n=len(m))
     return worst_case_metric(m, budget).gamma
 
 
@@ -146,8 +151,8 @@ def _externality_payment(excl_obj, base_obj, own_bid_value) -> float:
     return excl_obj - (base_obj - own_bid_value)
 
 
-def _compose_inertia(m0, agents, mu) -> np.ndarray:
-    m = np.array(m0, dtype=float)
+def _compose_inertia(m0, agents, mu) -> list[float]:
+    m = list(map(float, m0))
     for ag, q in zip(agents, mu):
         m[ag.bus] += q
     return m
@@ -161,7 +166,7 @@ def agent_utility(k: int, outcome: AuctionOutcome, true_cost: CostCurve) -> floa
 def _utilities(payments, mu, true_costs):
     if true_costs is None:
         return None
-    return np.array([p - c.value(float(q)) for p, q, c in zip(payments, mu, true_costs)])
+    return tuple(p - c.value(q) for p, q, c in zip(payments, mu, true_costs))
 
 
 def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> AuctionOutcome:
@@ -174,24 +179,23 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     agent's abstention changes nothing, so its exclusion objective is the
     base objective and its payment exactly zero.
     """
-    m0 = np.asarray(m0, dtype=float)
+    gamma = float(gamma)
     market = _Market(m0, bids, budget)
-    base = market.solve(float(gamma))
-    n_agents = len(bids)
-    payments = np.zeros(n_agents)
-    excl_objs = np.zeros(n_agents)
-    for k in range(n_agents):
-        q = float(base.mu[k])
-        excl_objs[k] = market.exclusion_objective(k, float(gamma)) if q > 0 else base.objective
-        payments[k] = _externality_payment(excl_objs[k], base.objective, bids[k].curve.value(q))
+    base = market.solve(gamma)
+    payments = []
+    excl_objs = []
+    for k, (ag, q) in enumerate(zip(bids, base.mu)):
+        excl_obj = market.exclusion_objective(k, gamma) if q > 0 else base.objective
+        excl_objs.append(excl_obj)
+        payments.append(_externality_payment(excl_obj, base.objective, ag.curve.value(q)))
     return AuctionOutcome(
         allocation=base,
-        payments=payments,
+        payments=tuple(payments),
         utilities=_utilities(payments, base.mu, true_costs),
-        exclusion_objectives=excl_objs,
-        gamma=float(gamma),
+        exclusion_objectives=tuple(excl_objs),
+        gamma=gamma,
         mode="soft",
-        m0=m0,
+        m0=market.m0,
         pi_tot=budget.pi_tot,
     )
 
@@ -206,12 +210,12 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     reported in ``gamma``. When some abstentions cannot meet the cap, one
     :class:`InfeasibleError` names all those pivotal agents and their buses.
     """
-    m0 = np.asarray(m0, dtype=float)
+    m0 = tuple(map(float, m0))
     base = solve_centralized_hard(gamma_bar, m0, bids, budget)
     base_cost = base.total_cost
     n_agents = len(bids)
-    payments = np.zeros(n_agents)
-    excl_costs = np.zeros(n_agents)
+    payments = [0.0] * n_agents
+    excl_costs = [0.0] * n_agents
     pivotal = []
     for k in range(n_agents):
         try:
@@ -221,7 +225,7 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
             continue
         excl_costs[k] = excl.total_cost
         payments[k] = _externality_payment(
-            excl.total_cost, base_cost, bids[k].curve.value(float(base.mu[k]))
+            excl.total_cost, base_cost, bids[k].curve.value(base.mu[k])
         )
     if pivotal:
         raise InfeasibleError(
@@ -232,9 +236,9 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
     return AuctionOutcome(
         allocation=base,
-        payments=payments,
+        payments=tuple(payments),
         utilities=_utilities(payments, base.mu, true_costs),
-        exclusion_objectives=excl_costs,
+        exclusion_objectives=tuple(excl_costs),
         gamma=gamma_star,
         mode="hard",
         m0=m0,
@@ -263,6 +267,8 @@ class AuditReport:
 
 def random_convex_curve(rng) -> CostCurve:
     """Random admissible bid: 1-3 segments, log-uniform prices, bounded cap."""
+    import numpy as np  # the audit's draws only; see the module docstring
+
     n_seg = int(rng.integers(1, 4))
     prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
     cap = rng.uniform(1.0, 50.0)
@@ -277,6 +283,8 @@ def deviation_curve(rng, curve: CostCurve) -> CostCurve:
     over-bidding; prices are re-sorted so the deviation stays an
     admissible convex message.
     """
+    import numpy as np  # the audit's draws only; see the module docstring
+
     widths = [w for w, _ in curve.segments]
     factors = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=len(widths)))
     prices = sorted(p * f for (_, p), f in zip(curve.segments, factors))
@@ -287,8 +295,8 @@ def _utility_of_bid(k, bid_k, bids, true_cost_k, gamma, m0, budget, excl_obj):
     trial_bids = list(bids)
     trial_bids[k] = Agent(id=bids[k].id, bus=bids[k].bus, curve=bid_k)
     base = solve_centralized_soft(gamma, m0, trial_bids, budget)
-    payment = _externality_payment(excl_obj, base.objective, bid_k.value(float(base.mu[k])))
-    return payment - true_cost_k.value(float(base.mu[k]))
+    payment = _externality_payment(excl_obj, base.objective, bid_k.value(base.mu[k]))
+    return payment - true_cost_k.value(base.mu[k])
 
 
 def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: int, seed: int) -> AuditReport:
@@ -299,10 +307,12 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
     bidding never loses more than the tolerance. A violation beyond the
     tolerance raises :class:`AuditError` carrying the instance for replay.
     """
+    import numpy as np  # the audit's draws only; see the module docstring
+
     if trials < 1:
         raise GridError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    m0 = np.asarray(m0, dtype=float)
+    m0 = tuple(map(float, m0))
     n_agents = len(true_costs)
     max_violation = -math.inf
     sum_truth = 0.0
@@ -332,7 +342,7 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
                 "agent": true_costs[k].id,
                 "gamma": float(gamma),
                 "pi_tot": float(budget.pi_tot),
-                "m0": [float(x) for x in m0],
+                "m0": list(m0),
                 "bids": [
                     {"id": ag.id, "bus": int(ag.bus), "segments": list(map(list, ag.curve.segments))}
                     for ag in bids

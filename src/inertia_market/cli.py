@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .auction import run_auction, run_auction_hard
 from .errors import (
@@ -117,7 +115,7 @@ def _cmd_h2(args) -> int:
             "scenario's 'grid' topology section; this scenario has none"
         )
     grid = scn.grid
-    pi = np.full(grid.n, scn.budget.pi_tot / grid.n)
+    pi = (scn.budget.pi_tot / grid.n,) * grid.n
     note = " (illustrative topology)" if scn.grid_illustrative else ""
     if args.method == "gramian":
         C = output_matrix_primary_effort(grid.d)

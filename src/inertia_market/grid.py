@@ -11,16 +11,25 @@ where L is the susceptance Laplacian, M = diag(m), D = diag(d) and
 Pi = diag(pi) holds the per-bus disturbance strengths. A always has a
 single structural zero eigenvalue with right eigenvector [1; 0] (a uniform
 shift of all angles), so output matrices must annihilate that direction.
+
+Building and validating a grid is plain Python. numpy is imported inside
+the functions that build matrices (``laplacian``, ``drift_mode``,
+``assemble_state_space``, ``output_matrix_primary_effort``): importing
+numpy costs more than the rest of the package together, and only the H2
+commands need these matrices, so parsing a scenario and clearing a market
+never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Grid",
@@ -37,13 +46,14 @@ class Grid:
     """Validated network description.
 
     Bus indices are 0-based internally; ``labels`` carries the display
-    names used in files and reports.
+    names used in files and reports. ``m0`` and ``d`` hold one float per
+    bus, as tuples.
     """
 
     n: int
     lines: tuple[tuple[int, int, float], ...]
-    m0: np.ndarray
-    d: np.ndarray
+    m0: tuple[float, ...]
+    d: tuple[float, ...]
     labels: tuple[str, ...]
 
     def label_index(self, label: str) -> int:
@@ -82,8 +92,6 @@ def build_grid(raw: dict) -> Grid:
             if not 0 < x < math.inf:  # NaN fails both comparisons
                 raise GridError(f"bus {label!r}: {name} must be positive and finite")
     n = len(labels)
-    m0 = np.asarray(m0, dtype=float)
-    d = np.asarray(d, dtype=float)
 
     index = {lab: k for k, lab in enumerate(labels)}
     lines = []
@@ -93,8 +101,10 @@ def build_grid(raw: dict) -> Grid:
             i = index[str(entry["from"])]
             j = index[str(entry["to"])]
             b = float(entry["b"])
-        except KeyError as exc:
-            raise GridError(f"lines[{k}]: unknown bus or missing field in {entry!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GridError(
+                f"lines[{k}]: unknown bus, missing field or non-numeric b in {entry!r}"
+            ) from exc
         if i == j:
             raise GridError(f"lines[{k}]: endpoints must be distinct")
         if not 0 <= b < math.inf:
@@ -107,7 +117,7 @@ def build_grid(raw: dict) -> Grid:
 
     if n > 1 and not _connected(n, lines):
         raise GridError("grid graph is not connected")
-    return Grid(n=n, lines=tuple(lines), m0=m0, d=d, labels=tuple(labels))
+    return Grid(n=n, lines=tuple(lines), m0=tuple(m0), d=tuple(d), labels=tuple(labels))
 
 
 def _connected(n: int, lines) -> bool:
@@ -128,6 +138,8 @@ def _connected(n: int, lines) -> bool:
 
 def laplacian(grid: Grid) -> np.ndarray:
     """Susceptance Laplacian: L @ 1 = 0, off-diagonal L_ij = -b_ij."""
+    import numpy as np
+
     L = np.zeros((grid.n, grid.n))
     for i, j, b in grid.lines:
         L[i, j] -= b
@@ -153,6 +165,8 @@ class StateSpace:
 
 def drift_mode(n: int) -> np.ndarray:
     """The uniform angle-shift direction [1_n; 0_n] in stacked coordinates."""
+    import numpy as np
+
     v = np.zeros(2 * n)
     v[:n] = 1.0
     return v
@@ -164,6 +178,8 @@ def assemble_state_space(grid: Grid, m, pi, C) -> StateSpace:
     ``C`` must have 2n columns and annihilate the drift mode [1; 0];
     otherwise the marginally stable mode would leak into the output energy.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     pi = np.asarray(pi, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -188,7 +204,7 @@ def assemble_state_space(grid: Grid, m, pi, C) -> StateSpace:
     A = np.block(
         [
             [np.zeros((n, n)), np.eye(n)],
-            [-L / m[:, None], -np.diag(grid.d / m)],
+            [-L / m[:, None], -np.diag(np.asarray(grid.d) / m)],
         ]
     )
     B = np.vstack([np.zeros((n, n)), np.diag(np.sqrt(pi) / m)])
@@ -197,6 +213,8 @@ def assemble_state_space(grid: Grid, m, pi, C) -> StateSpace:
 
 def output_matrix_primary_effort(d) -> np.ndarray:
     """Output C = [0, D^(1/2)] penalizing droop-control effort d_i * omega_i^2."""
+    import numpy as np
+
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise GridError("damping entries must be positive")

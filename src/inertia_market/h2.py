@@ -16,21 +16,26 @@ Three routes are provided and cross-validated against each other:
   block-partitioned output weights, finite even where the exact metric is
   non-convex in m.
 
-Only the Gramian route needs scipy (``null_space`` and
-``solve_continuous_lyapunov``). ``solve_constrained_lyapunov`` imports
-them when it runs, so importing this module, the package or the CLI loads
-no scipy: that import costs more than the rest of the package together,
-and the planner, auction and closed-form metrics never use it.
+Every route is dense linear algebra on numpy, and each function imports
+numpy when it runs, so importing this module, the package or the CLI
+loads none: the numpy import costs more than the rest of the package
+together, and the planner, the auction and the worst-case metric never
+use it. Of the CLI commands, only ``h2`` loads numpy. The Gramian route
+solves its Lyapunov equation with numpy alone (Newton's iteration on the
+matrix sign function) rather than with scipy, whose import costs more
+than numpy's and would dominate that command's run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridError, NumericsError
 from .grid import Grid, StateSpace, drift_mode, laplacian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GramianSolution",
@@ -43,6 +48,11 @@ __all__ = [
 
 # Dense deflated solves stay exact and fast up to this state dimension.
 MAX_STATE_DIM = 64
+# The Lyapunov sign iteration stops once a step moves the iterate by less
+# than this relative amount; random grids of up to 32 buses take at most
+# 10 steps.
+SIGN_STEP_TOL = 1e-10
+SIGN_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,8 @@ class GramianSolution:
 
 
 def _check_spectrum(A: np.ndarray, n: int) -> None:
+    import numpy as np
+
     # Solvability needs one structural zero eigenvalue, the rest strictly stable.
     eigs = np.linalg.eigvals(A)
     scale = max(np.linalg.norm(A), 1.0)
@@ -79,6 +91,32 @@ def _check_spectrum(A: np.ndarray, n: int) -> None:
         )
 
 
+def _lyapunov(a, q):
+    """X with a X + X a' + q = 0, for a Hurwitz matrix ``a``.
+
+    Newton's iteration on the matrix sign function (Roberts, 1980) with
+    determinantal scaling: sign([[a, q], [0, -a']]) = [[-I, 2X], [0, I]],
+    and inverting that block-triangular matrix takes only inv(a), so the
+    iteration runs on (a, q). It converges quadratically because no
+    eigenvalue of ``a`` is on the imaginary axis.
+    """
+    import numpy as np
+
+    m = a.shape[0]
+    for _ in range(SIGN_MAX_STEPS):
+        inv = np.linalg.inv(a)
+        c = np.exp(np.linalg.slogdet(a)[1] / m)
+        a_next = 0.5 * (a / c + c * inv)
+        q = 0.5 * (q / c + c * (inv @ q @ inv.T))
+        # The step is the error of the previous iterate, so the new one is
+        # accurate to about its square.
+        step = np.linalg.norm(a_next - a, 1)
+        a = a_next
+        if step <= SIGN_STEP_TOL * np.linalg.norm(a, 1):
+            return 0.5 * q
+    raise NumericsError(f"Lyapunov sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+
+
 def solve_constrained_lyapunov(A, Q) -> GramianSolution:
     """Solve P A + A' P + Q = 0 subject to P @ [1; 0] = 0.
 
@@ -87,10 +125,10 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
     the representative with no energy on the drift mode. The solve deflates
     the drift direction with an orthonormal basis of its complement and
     solves the reduced dense Lyapunov equation, which has a unique solution
-    because the reduced matrix is Hurwitz.
+    because the reduced matrix is Hurwitz (see ``_lyapunov``).
     """
     # Loaded here, not at module level: see the module docstring.
-    from scipy.linalg import null_space, solve_continuous_lyapunov
+    import numpy as np
 
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -120,15 +158,16 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
         return GramianSolution(P=P, residual=0.0, constraint_residual=0.0)
 
     # Basis of the complement of span{[1; 0]}: angle directions orthogonal
-    # to the uniform shift, plus all frequency directions.
-    W = null_space(np.ones((1, n)))
+    # to the uniform shift (the last n - 1 columns of a complete QR factor
+    # of the ones vector), plus all frequency directions.
+    W = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
     U = np.zeros((2 * n, 2 * n - 1))
     U[:n, : n - 1] = W
     U[n:, n - 1 :] = np.eye(n)
 
     A_red = U.T @ A @ U
     Q_red = U.T @ Q @ U
-    X = solve_continuous_lyapunov(A_red.T, -Q_red)
+    X = _lyapunov(A_red.T, Q_red)
     X = 0.5 * (X + X.T)
     P = U @ X @ U.T
     P = 0.5 * (P + P.T)
@@ -140,6 +179,8 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
 
 def h2_norm_sq_gramian(sys: StateSpace) -> float:
     """Exact squared H2 norm trace(B' P B) via the constrained Gramian."""
+    import numpy as np
+
     Q = sys.C.T @ sys.C
     sol = solve_constrained_lyapunov(sys.A, Q)
     value = float(np.trace(sys.B.T @ sol.P @ sys.B))
@@ -154,6 +195,8 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
     default ``kappa=1`` is the convention consumed by the planner and the
     market, where the factor folds into the disturbance budget.
     """
+    import numpy as np
+
     if kappa not in (1, 2):
         raise ValueError(f"kappa must be 1 or 2, got {kappa!r}")
     m = np.asarray(m, dtype=float)
@@ -168,6 +211,8 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
 
 
 def _split_block_weight(Q, n: int):
+    import numpy as np
+
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (2 * n, 2 * n):
         raise GridError(f"Q has shape {Q.shape}, expected ({2 * n}, {2 * n})")
@@ -194,6 +239,8 @@ def upper_bound_ub(m, grid: Grid, Q) -> float:
     by the largest disturbance strength it dominates the exact metric; it
     is finite and convex in m even when the exact metric is not.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.shape != (grid.n,):
         raise GridError(f"inertia vector has shape {m.shape}, expected ({grid.n},)")

@@ -21,8 +21,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GridError, InfeasibleError, ScenarioError
 from .robust import DisturbanceBudget, expand_performance_constraint, worst_case_metric
 
@@ -105,13 +103,14 @@ class Agent:
 class Allocation:
     """Procurement result: per-agent quantities and the resulting inertia.
 
+    ``mu`` (per agent) and ``m`` (per bus) are tuples of floats.
     ``objective_parts`` is (gamma_term, cost_term); the gamma term is zero
     for the hard-constrained and regulatory solves, whose objective is cost
     alone.
     """
 
-    mu: np.ndarray
-    m: np.ndarray
+    mu: tuple[float, ...]
+    m: tuple[float, ...]
     level: float
     objective_parts: tuple[float, float]
 
@@ -242,12 +241,11 @@ class _Market:
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
-        m0 = np.asarray(m0, dtype=float)
-        n = m0.shape[0]
+        m0 = tuple(map(float, m0))
+        n = len(m0)
         if budget.n != n:
             raise GridError(f"budget dimension {budget.n} does not match {n} buses")
-        levels = m0.tolist()
-        if not all(0 < x < math.inf for x in levels):  # NaN fails both comparisons
+        if not all(0 < x < math.inf for x in m0):  # NaN fails both comparisons
             raise GridError("residual inertia must be positive and finite at every bus")
         self.m0, self.agents, self.budget = m0, agents, budget
         self.by_bus = [[] for _ in range(n)]  # (agent index, agent) per bus, absentees left out
@@ -259,8 +257,8 @@ class _Market:
         self.supplies = [
             _BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(self.by_bus[i])]) for i in range(n)
         ]
-        reach = [levels[i] + self.supplies[i].capacity for i in range(n)]
-        self.lo = min(levels)
+        reach = [m0[i] + self.supplies[i].capacity for i in range(n)]
+        self.lo = min(m0)
         self.cap = min(reach)
         # An abstention at the bus that sets the cap can lift it to the next lowest reach.
         order = sorted(range(n), key=reach.__getitem__)
@@ -276,7 +274,7 @@ class _Market:
         if self._curve is not None:
             return self._curve
         events = []
-        for m0_i, supply in zip(self.m0.tolist(), self.supplies):
+        for m0_i, supply in zip(self.m0, self.supplies):
             prev = 0.0
             for level, price in zip(*_tier_starts(m0_i, supply)):
                 if level >= self.cap:
@@ -319,7 +317,7 @@ class _Market:
         extra = []  # breakpoints of the swapped-in supply
         if swap is not None:
             b, supply = swap
-            m0_b = float(self.m0[b])
+            m0_b = self.m0[b]
             top = min(self._next_reach if b == self._cap_bus else self.cap, m0_b + supply.capacity)
             old_starts, old_prices = _tier_starts(m0_b, self.supplies[b])
             extra, new_prices = _tier_starts(m0_b, supply)
@@ -375,8 +373,9 @@ class _Market:
 
     def fill(self, level: float, gamma: float = 0.0) -> Allocation:
         """Cheapest plan lifting every bus below ``level`` to it (or to its reach)."""
-        mu = np.zeros(len(self.agents))
-        m = self.m0.copy()
+        level = float(level)
+        mu = [0.0] * len(self.agents)
+        m = list(self.m0)
         cost = 0.0
         for i, members in enumerate(self.by_bus):
             need = level - self.m0[i]
@@ -388,7 +387,9 @@ class _Market:
                 mu[k] = f
                 m[i] += f
         gamma_term = gamma * worst_case_metric(m, self.budget).gamma if gamma > 0 else 0.0
-        return Allocation(mu=mu, m=m, level=float(level), objective_parts=(float(gamma_term), float(cost)))
+        return Allocation(
+            mu=tuple(mu), m=tuple(m), level=level, objective_parts=(float(gamma_term), float(cost))
+        )
 
     def solve(self, gamma: float) -> Allocation:
         if not (math.isfinite(gamma) and gamma > 0):
@@ -401,7 +402,7 @@ class _Market:
         supply = _BusSupply([(p, ag.curve) for p, (j, ag) in enumerate(self.by_bus[b]) if j != k])
         weight = gamma * self.budget.pi_tot
         level = self.level(weight, swap=(b, supply))
-        q = level - float(self.m0[b])
+        q = level - self.m0[b]
         return weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
 
 
@@ -458,9 +459,9 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
     in proportion to their capacities, regardless of cost.
     """
     market = _Market(m0, agents, budget)
-    level = market.required_level(gamma_bar)
-    mu = np.zeros(len(agents))
-    m = market.m0.copy()
+    level = float(market.required_level(gamma_bar))
+    mu = [0.0] * len(agents)
+    m = list(market.m0)
     cost = 0.0
     for i, members in enumerate(market.by_bus):
         deficit = level - market.m0[i]
@@ -472,4 +473,4 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
             mu[k] = share
             m[i] += share
             cost += ag.curve.value(share)
-    return Allocation(mu=mu, m=m, level=float(level), objective_parts=(0.0, float(cost)))
+    return Allocation(mu=tuple(mu), m=tuple(m), level=level, objective_parts=(0.0, float(cost)))

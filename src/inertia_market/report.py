@@ -12,8 +12,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
 from .planner import Allocation
 from .robust import worst_case_metric
 
@@ -55,9 +53,7 @@ def make_report(scenario, alloc: Allocation, payments=None, utilities=None, titl
     Costs use each agent's true curve when the scenario provides one and
     its bid curve otherwise (truthful default).
     """
-    n_agents = len(scenario.agents)
     has_payments = payments is not None
-    payments = np.zeros(n_agents) if payments is None else np.asarray(payments, dtype=float)
     rows = []
     total_cost = 0.0
     total_payment = 0.0
@@ -65,7 +61,7 @@ def make_report(scenario, alloc: Allocation, payments=None, utilities=None, titl
         curve = ag.cost if ag.cost is not None else ag.bid
         mu = float(alloc.mu[k])
         cost = curve.value(mu)
-        pay = float(payments[k])
+        pay = float(payments[k]) if has_payments else 0.0
         if utilities is not None:
             util = float(utilities[k])
         else:

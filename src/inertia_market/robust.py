@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GridError
 
 __all__ = [
@@ -43,7 +41,7 @@ class WorstCase:
 
     gamma: float
     rho: float
-    pi_star: np.ndarray
+    pi_star: tuple[float, ...]
     argmax_bus: int
 
 
@@ -51,21 +49,22 @@ def worst_case_metric(m, budget: DisturbanceBudget) -> WorstCase:
     """Gamma(m) = pi_tot * max_i 1/m_i, with the maximizing disturbance.
 
     Equivalently the value of the dual problem min pi_tot * rho subject to
-    1/m_i <= rho. Ties in the attaining bus break to the lowest index; the
-    value itself is tie-invariant.
+    1/m_i <= rho. ``m`` is any sequence of reals. Ties in the attaining bus
+    break to the lowest index; the value itself is tie-invariant.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 1 or m.shape[0] != budget.n:
-        raise GridError(f"inertia vector has shape {m.shape}, expected ({budget.n},)")
-    if np.any(m <= 0):
+    m = tuple(map(float, m))
+    n = budget.n
+    if len(m) != n:
+        raise GridError(f"inertia vector has shape ({len(m)},), expected ({n},)")
+    if not all(x > 0 for x in m):  # NaN fails too
         raise GridError("inertia entries must be positive")
-    recip = 1.0 / m
-    i_star = int(np.argmax(recip))
-    rho = float(recip[i_star])
+    recip = [1.0 / x for x in m]
+    i_star = max(range(n), key=recip.__getitem__)  # max keeps the first of equal keys
+    rho = recip[i_star]
     gamma = budget.pi_tot * rho
-    pi_star = np.zeros(budget.n)
-    pi_star[i_star] = budget.pi_tot
-    return WorstCase(gamma=gamma, rho=rho, pi_star=pi_star, argmax_bus=i_star)
+    pi_star = [0.0] * n
+    pi_star[i_star] = float(budget.pi_tot)
+    return WorstCase(gamma=gamma, rho=rho, pi_star=tuple(pi_star), argmax_bus=i_star)
 
 
 def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget, n: int) -> float:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 import yaml
 
 from .errors import ScenarioError
@@ -61,14 +60,17 @@ class ScenarioAgent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: market data plus optional display topology."""
+    """Validated scenario: market data plus optional display topology.
+
+    ``m0`` and ``pi`` hold one float per bus, as tuples.
+    """
 
     name: str
     timescale: str
     kappa: int
     bus_labels: tuple[str, ...]
-    m0: np.ndarray
-    pi: np.ndarray | None
+    m0: tuple[float, ...]
+    pi: tuple[float, ...] | None
     budget: DisturbanceBudget
     agents: tuple[ScenarioAgent, ...]
     gamma: float | None
@@ -96,15 +98,23 @@ class Scenario:
             out.append(Agent(id=ag.id, bus=self.bus_index(ag.bus), curve=curve))
         return out
 
-    def disturbance_strengths(self) -> np.ndarray:
+    def disturbance_strengths(self) -> tuple[float, ...]:
         """Per-bus strengths: the explicit vector, or the budget spread evenly."""
         if self.pi is not None:
             return self.pi
         n = len(self.bus_labels)
-        return np.full(n, self.budget.pi_tot / n)
+        return (self.budget.pi_tot / n,) * n
 
     def with_mode(self, gamma=None, gamma_bar=None) -> "Scenario":
         return replace(self, gamma=gamma, gamma_bar=gamma_bar)
+
+
+def _number(raw, where: str) -> float:
+    """A scenario number as a float; anything else is a ScenarioError naming ``where``."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where} must be a number, got {raw!r}") from None
 
 
 def _parse_curve(raw, where: str) -> CostCurve:
@@ -114,7 +124,8 @@ def _parse_curve(raw, where: str) -> CostCurve:
     for k, seg in enumerate(raw):
         if not isinstance(seg, dict) or "width" not in seg or "price" not in seg:
             raise ScenarioError(f"{where}[{k}]: expected {{width, price}}, got {seg!r}")
-        segments.append((float(seg["width"]), float(seg["price"])))
+        width = _number(seg["width"], f"{where}[{k}].width")
+        segments.append((width, _number(seg["price"], f"{where}[{k}].price")))
     try:
         return CostCurve(segments=tuple(segments))
     except ScenarioError as exc:
@@ -138,7 +149,7 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
 
     if "pi_tot" not in doc:
         raise ScenarioError(f"{origin}: missing pi_tot")
-    pi_tot = float(doc["pi_tot"])
+    pi_tot = _number(doc["pi_tot"], f"{origin}: pi_tot")
     if pi_tot < 0:
         raise ScenarioError(f"{origin}: pi_tot must be nonnegative")
 
@@ -147,11 +158,11 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     if gamma is not None and gamma_bar is not None:
         raise ScenarioError(f"{origin}: gamma and gamma_bar are mutually exclusive")
     if gamma is not None:
-        gamma = float(gamma)
+        gamma = _number(gamma, f"{origin}: gamma")
         if not (math.isfinite(gamma) and gamma > 0):
             raise ScenarioError(f"{origin}: gamma must be positive and finite")
     if gamma_bar is not None:
-        gamma_bar = float(gamma_bar)
+        gamma_bar = _number(gamma_bar, f"{origin}: gamma_bar")
         if not (math.isfinite(gamma_bar) and gamma_bar > 0):
             raise ScenarioError(f"{origin}: gamma_bar must be positive and finite")
 
@@ -164,22 +175,23 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     for k, entry in enumerate(buses):
         if not isinstance(entry, dict) or "label" not in entry or "m0" not in entry:
             raise ScenarioError(f"{origin}: buses[{k}]: expected {{label, m0}}, got {entry!r}")
-        labels.append(str(entry["label"]))
-        m0.append(float(entry["m0"]))
+        label = str(entry["label"])
+        labels.append(label)
+        m0.append(_number(entry["m0"], f"{origin}: bus {label!r}: m0"))
         pi_vals.append(entry.get("pi"))
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{origin}: duplicate bus labels")
-    m0 = np.asarray(m0, dtype=float)
-    valid = np.isfinite(m0) & (m0 > 0)
-    if not valid.all():
-        bad = labels[int(np.argmin(valid))]
-        raise ScenarioError(f"{origin}: bus {bad!r}: m0 must be positive and finite")
+    for label, x in zip(labels, m0):
+        if not 0 < x < math.inf:  # NaN fails both comparisons
+            raise ScenarioError(f"{origin}: bus {label!r}: m0 must be positive and finite")
     with_pi = [v is not None for v in pi_vals]
     if any(with_pi) and not all(with_pi):
         raise ScenarioError(f"{origin}: per-bus pi must be given for all buses or none")
-    pi = np.asarray([float(v) for v in pi_vals], dtype=float) if all(with_pi) else None
-    if pi is not None and not (np.isfinite(pi) & (pi >= 0)).all():
-        raise ScenarioError(f"{origin}: per-bus pi must be nonnegative and finite")
+    pi = None
+    if all(with_pi):
+        pi = tuple(_number(v, f"{origin}: bus {label!r}: pi") for label, v in zip(labels, pi_vals))
+        if not all(0 <= x < math.inf for x in pi):
+            raise ScenarioError(f"{origin}: per-bus pi must be nonnegative and finite")
 
     agents = []
     ids = set()
@@ -217,7 +229,7 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
         timescale=timescale,
         kappa=int(kappa),
         bus_labels=tuple(labels),
-        m0=m0,
+        m0=tuple(m0),
         pi=pi,
         budget=DisturbanceBudget(pi_tot=pi_tot, n=len(labels)),
         agents=tuple(agents),
@@ -387,7 +399,7 @@ def case_study() -> Scenario:
         timescale="planning",
         kappa=1,
         bus_labels=labels,
-        m0=np.asarray([_CASE_M0[lab] for lab in labels], dtype=float),
+        m0=tuple(_CASE_M0[lab] for lab in labels),
         pi=None,
         budget=DisturbanceBudget(pi_tot=10.0, n=len(labels)),
         agents=agents,

@@ -5,14 +5,16 @@ oracle integrates the matrix exponential numerically, the planner oracle
 grid-searches the fill level, the worst-case oracle enumerates polytope
 vertices, the auction oracle re-solves the market once per abstaining
 agent instead of reusing the base solve's sweep, and the multiplier oracle
-bisects on trade-off solves instead of reading the fill-cost slope.
+bisects on trade-off solves instead of reading the fill-cost slope, and
+the Lyapunov oracle solves the deflated equation with scipy's
+Bartels-Stewart solver instead of the package's sign iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space, solve_continuous_lyapunov
 
 from inertia_market import (
     Agent,
@@ -27,7 +29,7 @@ from inertia_market import (
 
 
 def make_grid(m0, d, lines, labels=None):
-    """Grid from plain arrays; lines are (i, j, b) with integer indices."""
+    """Grid from plain arrays; lines are (i, j, b) with integer indices, b passed as given."""
     n = len(m0)
     labels = labels or [str(k + 1) for k in range(n)]
     return build_grid(
@@ -36,7 +38,7 @@ def make_grid(m0, d, lines, labels=None):
                 {"label": labels[k], "m0": float(m0[k]), "d": float(d[k])} for k in range(n)
             ],
             "lines": [
-                {"from": labels[i], "to": labels[j], "b": float(b)} for i, j, b in lines
+                {"from": labels[i], "to": labels[j], "b": b} for i, j, b in lines
             ],
         }
     )
@@ -82,6 +84,21 @@ def gramian_oracle(A, Q, rel_tol=1e-10):
     v0[:n] = 1.0
     proj = np.eye(n2) - np.outer(v0, v0) / n
     return proj @ P @ proj
+
+
+def constrained_lyapunov_oracle(A, Q):
+    """P with P A + A'P + Q = 0 and P @ [1; 0] = 0, by scipy's Bartels-Stewart solve.
+
+    Deflates the drift mode as the package does, with scipy's SVD-based
+    ``null_space`` for the basis of its complement.
+    """
+    n = A.shape[0] // 2
+    U = np.zeros((2 * n, 2 * n - 1))
+    U[:n, : n - 1] = null_space(np.ones((1, n)))
+    U[n:, n - 1 :] = np.eye(n)
+    X = solve_continuous_lyapunov((U.T @ A @ U).T, -(U.T @ Q @ U))
+    P = U @ X @ U.T
+    return 0.5 * (P + P.T)
 
 
 def random_psd_block_weight(rng, n):

@@ -264,9 +264,9 @@ def test_criterion_9_mechanism_properties():
         m0, agents, budget = random_market(rng, max_buses=3, max_agents=5)
         gamma = float(np.exp(rng.uniform(np.log(0.5), np.log(200.0))))
         out = run_auction(agents, gamma, m0, budget, true_costs=[a.curve for a in agents])
-        assert np.all(out.utilities >= -1e-9)
-        assert np.all(out.payments >= -1e-9)
-        assert np.all(out.exclusion_objectives >= out.objective - 1e-9)
+        assert all(u >= -1e-9 for u in out.utilities)
+        assert all(p >= -1e-9 for p in out.payments)
+        assert all(e >= out.objective - 1e-9 for e in out.exclusion_objectives)
         central = solve_centralized_soft(gamma, m0, agents, budget)
         np.testing.assert_array_equal(out.mu, central.mu)
 

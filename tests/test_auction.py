@@ -69,7 +69,7 @@ class TestTradeOffAuction:
             m0, agents, budget = random_market(rng, max_buses=3, max_agents=5)
             gamma = float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))
             out = run_auction(agents, gamma, m0, budget)
-            assert np.all(out.exclusion_objectives >= out.objective - 1e-9)
+            assert all(e >= out.objective - 1e-9 for e in out.exclusion_objectives)
 
     def test_individual_rationality_truthful(self):
         rng = np.random.default_rng(29)
@@ -77,8 +77,8 @@ class TestTradeOffAuction:
             m0, agents, budget = random_market(rng, max_buses=3, max_agents=5)
             gamma = float(np.exp(rng.uniform(np.log(0.5), np.log(100.0))))
             out = run_auction(agents, gamma, m0, budget, true_costs=[a.curve for a in agents])
-            assert np.all(out.payments >= -1e-9)
-            assert np.all(out.utilities >= -1e-9)
+            assert all(p >= -1e-9 for p in out.payments)
+            assert all(u >= -1e-9 for u in out.utilities)
 
 
 def assert_matches_resolve_oracle(bids, gamma, m0, budget):
@@ -134,8 +134,8 @@ class TestSweepPaymentsMatchResolves:
         budget = DisturbanceBudget(0.0, budget.n)
         out, _ = assert_matches_resolve_oracle(agents, 5.0, m0, budget)
         assert out.level == float(np.min(m0))
-        assert np.all(out.mu == 0.0)
-        assert np.all(out.payments == 0.0)
+        assert all(q == 0.0 for q in out.mu)
+        assert all(p == 0.0 for p in out.payments)
 
     def test_optimum_at_lowest_residual_inertia(self):
         agents = [
@@ -148,7 +148,7 @@ class TestSweepPaymentsMatchResolves:
         # without the cheap agent, price 50 beats the marginal gain 4 / 1**2
         assert exclusion_solve(0, agents, 4.0, m0, budget).level == 1.0
         tiny, _ = assert_matches_resolve_oracle(agents, 0.1, m0, budget)
-        assert tiny.level == 1.0 and np.all(tiny.payments == 0.0)
+        assert tiny.level == 1.0 and all(p == 0.0 for p in tiny.payments)
 
     def test_optimum_at_reach_cap(self):
         agents = [
@@ -221,7 +221,7 @@ class TestExclusionSolve:
         deficit = 10.0 / 0.29 - scn.m0[list(scn.bus_labels).index("4")]
         assert sum(excl.mu[k] for k in bus4) == pytest.approx(deficit, rel=1e-9)
         five_price = [k for k in bus4 if k != k4c and bids[k].curve.segments[0][1] == 5.0]
-        np.testing.assert_allclose(excl.mu[five_price], deficit / 5, rtol=1e-9)
+        np.testing.assert_allclose([excl.mu[k] for k in five_price], deficit / 5, rtol=1e-9)
 
     def test_removing_zero_allocated_agent_changes_nothing(self):
         m0, agents, budget = single_bus_instance()
@@ -287,8 +287,8 @@ class TestHardModeAuction:
         assert per_unit["8a"] == pytest.approx(5.0, abs=1e-6)
         assert per_unit["8b"] == pytest.approx(5.8048, abs=1e-4)
         # truthful utilities and payments stay nonnegative
-        assert np.all(out.payments >= -1e-9)
-        assert np.all(out.utilities >= -1e-9)
+        assert all(p >= -1e-9 for p in out.payments)
+        assert all(u >= -1e-9 for u in out.utilities)
 
     def test_agent_4c_payment_decomposition(self):
         # Removing 4c refills its 20 cheap units at price 5: externality 80,

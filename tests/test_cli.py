@@ -231,6 +231,21 @@ def test_nan_residual_inertia_exit_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "old, new, field",
+    [("pi_tot: 10.0", "pi_tot: abc", "pi_tot"), ("m0: 7.219268219", "m0: x", "bus '4': m0")],
+    ids=["pi_tot", "m0"],
+)
+def test_non_numeric_scenario_value_exit_one(capsys, tmp_path, old, new, field):
+    path = tmp_path / "non_numeric.yaml"
+    path.write_text(Path(CASE_FILE).read_text().replace(old, new, 1))
+    assert new in path.read_text()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"{field} must be a number" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [["validate"], ["h2", "--method", "upper-bound"], ["h2", "--method", "gramian"]],
     ids=["validate", "h2-upper-bound", "h2-gramian"],
@@ -318,7 +333,17 @@ def test_case_study_bundle(capsys, tmp_path):
     assert central_mu == pytest.approx(market_mu, abs=1e-9)
 
 
-def test_import_loads_no_scipy_until_the_gramian():
+def _run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter on this package; returns the JSON it prints."""
+    src = str(Path(inertia_market.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def test_gramian_loads_no_scipy():
     # A fresh interpreter: this process already holds scipy through the test oracles.
     script = textwrap.dedent(
         """
@@ -336,16 +361,47 @@ def test_import_loads_no_scipy_until_the_gramian():
         print(json.dumps({"before": before, "value": value, "after": "scipy" in sys.modules}))
         """
     )
-    src = str(Path(inertia_market.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    result = json.loads(proc.stdout)
+    result = _run_fresh(script)
     assert result["before"] == []
     # Closed form with kappa=2: sum(pi_i / (2 m_i)) = 1/2 + 1/4.
     assert result["value"] == pytest.approx(0.75, rel=1e-9)
+    assert not result["after"]
+
+
+def test_import_loads_no_numpy_until_linear_algebra():
+    # A fresh interpreter: this process already holds numpy through the tests.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import inertia_market, inertia_market.cli
+        case = sys.argv[1]
+        commands = [
+            ["validate", case],
+            ["worst-case", case],
+            ["plan", case],
+            ["plan", case, "--regulatory", "--gamma-bar", "0.29"],
+            ["auction", case],
+            ["compare", case],
+            ["case-study"],
+        ]
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                codes.append(inertia_market.cli.cli_dispatch(argv))
+        before = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(inertia_market.cli.cli_dispatch(["h2", case, "--method", "upper-bound"]))
+        print(json.dumps({"codes": codes, "before": before, "h2": out.getvalue(),
+                          "after": "numpy" in sys.modules}))
+        """
+    )
+    result = _run_fresh(script, CASE_FILE)
+    assert result["codes"] == [0] * 8
+    assert result["before"] == []
     assert result["after"]
+    # The stored benchmark run of the same command (perfbench/refs/cli.json).
+    assert result["h2"] == _cli_refs()["h2-upper-bound"]["stdout"]
 
 
 def test_version_flag(capsys):

@@ -55,6 +55,8 @@ def test_single_bus_degenerate_grid_accepted():
         ([1.0, 1.0], [1.0, np.inf], [(0, 1, 1.0)], "damping d must be positive and finite"),
         ([1.0, 1.0], [1.0, 1.0], [(0, 1, np.nan)], "susceptance must be nonnegative and finite"),
         ([1.0, 1.0], [1.0, 1.0], [(0, 1, np.inf)], "susceptance must be nonnegative and finite"),
+        ([1.0, 1.0], [1.0, 1.0], [(0, 1, "x")], r"lines\[0\]: .*non-numeric b"),
+        ([1.0, 1.0], [1.0, 1.0], [(0, 1, None)], r"lines\[0\]: .*non-numeric b"),
     ],
 )
 def test_invalid_grids_rejected(m0, d, lines, message):
@@ -91,7 +93,9 @@ def test_laplacian_permutation_equivariance():
     perm = rng.permutation(5)
     inv = np.argsort(perm)
     relabeled = make_grid(
-        g.m0[perm], g.d[perm], [(int(inv[i]), int(inv[j]), b) for i, j, b in g.lines]
+        np.asarray(g.m0)[perm],
+        np.asarray(g.d)[perm],
+        [(int(inv[i]), int(inv[j]), b) for i, j, b in g.lines],
     )
     P = np.eye(5)[perm]
     np.testing.assert_allclose(laplacian(relabeled), P @ laplacian(g) @ P.T, atol=1e-12)

@@ -20,6 +20,7 @@ from inertia_market import (
 from inertia_market.grid import drift_mode
 
 from helpers import (
+    constrained_lyapunov_oracle,
     gramian_oracle,
     make_grid,
     matrix_sqrt_psd,
@@ -70,6 +71,24 @@ class TestConstrainedLyapunov:
             P_ref = gramian_oracle(sys_.A, Q)
             err = np.linalg.norm(sol.P - P_ref) / np.linalg.norm(P_ref)
             assert err <= 1e-6
+
+    def test_matches_bartels_stewart_oracle(self):
+        # Grids up to the largest supported size, droop and random PSD weights.
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            n = 32 if trial == 0 else int(rng.integers(2, 17))
+            g = random_connected_grid(rng, n=n)
+            sys_ = primary_system(g, rng.uniform(0.5, 3.0, n), np.ones(n))
+            if trial % 2:
+                W = rng.normal(size=(2 * n, 2 * n))
+                proj = np.eye(2 * n) - np.outer(drift_mode(n), drift_mode(n)) / n
+                Q = proj @ (W @ W.T) @ proj
+                Q = 0.5 * (Q + Q.T)
+            else:
+                Q = sys_.C.T @ sys_.C
+            sol = solve_constrained_lyapunov(sys_.A, Q)
+            P_ref = constrained_lyapunov_oracle(sys_.A, Q)
+            assert np.linalg.norm(sol.P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
 
     def test_residual_invariants(self):
         rng = np.random.default_rng(23)

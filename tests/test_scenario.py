@@ -93,6 +93,33 @@ def test_non_finite_values_rejected(tmp_path, mutate, message):
         parse_scenario(write_doc(tmp_path, doc))
 
 
+def _set_segment(doc, **fields):
+    doc["agents"][0]["bid"][0].update(fields)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(pi_tot="abc"), "pi_tot must be a number, got 'abc'"),
+        (lambda d: d.update(pi_tot=None), "pi_tot must be a number, got None"),
+        (lambda d: d.update(gamma="x"), "gamma must be a number, got 'x'"),
+        (lambda d: _with_gamma_bar(d, [0.3]), r"gamma_bar must be a number, got \[0.3\]"),
+        (lambda d: d["buses"][1].update(m0="x"), "bus '2': m0 must be a number, got 'x'"),
+        (lambda d: d["buses"][0].update(m0=None), "bus '1': m0 must be a number, got None"),
+        (lambda d: _with_pi(d, [1.0, "high"]), "bus '2': pi must be a number, got 'high'"),
+        (lambda d: _set_segment(d, width="wide"), r"bid\[0\].width must be a number, got 'wide'"),
+        (lambda d: _set_segment(d, price=[1.0]), r"bid\[0\].price must be a number, got \[1.0\]"),
+    ],
+    ids=["pi_tot-str", "pi_tot-none", "gamma-str", "gamma_bar-list", "m0-str", "m0-none",
+         "pi-str", "width-str", "price-list"],
+)
+def test_non_numeric_values_name_their_field(tmp_path, mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(write_doc(tmp_path, doc))
+
+
 def test_decreasing_marginal_prices_rejected(tmp_path):
     doc = minimal_doc()
     doc["agents"][0]["bid"] = [
