@@ -21,6 +21,12 @@ value at the cleared quantity. Two clearing objectives are supported:
   provider is indispensable; that is reported as one error naming every
   such provider, never hidden.
 
+The incentive audit clears each trial on one market of the trial's bids.
+The truthful plan is that market's optimum. The deviation and the
+abstention each swap the deviator's bus supply for one no larger than its
+own: the same widths re-priced, or one agent fewer. So a trial is one
+market build and three level searches, with no full re-solve.
+
 Clearing is scalar arithmetic on tuples of floats and loads no numpy. The
 incentive audit draws its random bids from numpy's ``Generator``, which
 ``random_convex_curve``, ``deviation_curve`` and ``incentive_audit``
@@ -291,12 +297,22 @@ def deviation_curve(rng, curve: CostCurve) -> CostCurve:
     return CostCurve(segments=tuple((w, float(p)) for w, p in zip(widths, prices)))
 
 
-def _utility_of_bid(k, bid_k, bids, true_cost_k, gamma, m0, budget, excl_obj):
-    trial_bids = list(bids)
-    trial_bids[k] = Agent(id=bids[k].id, bus=bids[k].bus, curve=bid_k)
-    base = solve_centralized_soft(gamma, m0, trial_bids, budget)
-    payment = _externality_payment(excl_obj, base.objective, bid_k.value(base.mu[k]))
-    return payment - true_cost_k.value(base.mu[k])
+def _trial_utilities(market, k: int, deviation: CostCurve, gamma: float):
+    """Agent ``k``'s utilities from bidding truthfully and from ``deviation``.
+
+    ``market`` holds the trial's bids with k bidding its true curve, so its
+    own optimum is the truthful plan. The abstention and the deviation
+    change only k's bus, so each is one swapped level search on the same
+    sweep. Both bids are paid against the same abstention objective.
+    """
+    weight = market.weight(gamma)
+    true_cost = market.agents[k].curve
+    excl_obj, _ = market.swap_optimum(k, weight)
+    plans = ((true_cost, market.optimum(k, weight)), (deviation, market.swap_optimum(k, weight, deviation)))
+    return tuple(
+        _externality_payment(excl_obj, objective, bid.value(q)) - true_cost.value(q)
+        for bid, (objective, q) in plans
+    )
 
 
 def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: int, seed: int) -> AuditReport:
@@ -304,13 +320,19 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
 
     Each trial draws an agent, a random deviation of its true curve, and
     random admissible bids for everyone else, then checks that truthful
-    bidding never loses more than the tolerance. A violation beyond the
-    tolerance raises :class:`AuditError` carrying the instance for replay.
+    bidding never loses more than the tolerance. A trial clears on one
+    market of its bids: the truthful plan is that market's optimum, and the
+    deviation and the abstention each swap the deviator's bus supply for
+    one no larger than its own. A violation beyond the tolerance raises
+    :class:`AuditError` carrying the instance for replay.
     """
     import numpy as np  # the audit's draws only; see the module docstring
 
-    if trials < 1:
-        raise GridError("trials must be at least 1")
+    if not hasattr(trials, "__index__") or trials < 1:  # ints, numpy's too; no floats
+        raise GridError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not true_costs:
+        raise GridError("the audit needs at least one agent")
+    gamma = float(gamma)
     rng = np.random.default_rng(seed)
     m0 = tuple(map(float, m0))
     n_agents = len(true_costs)
@@ -324,14 +346,7 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
             for j, ag in enumerate(true_costs)
         ]
         deviation = deviation_curve(rng, true_costs[k].curve)
-        # The abstention plan does not depend on agent k's bid; solve once.
-        excl_obj = exclusion_solve(k, bids, gamma, m0, budget).objective
-        u_truth = _utility_of_bid(
-            k, true_costs[k].curve, bids, true_costs[k].curve, gamma, m0, budget, excl_obj
-        )
-        u_dev = _utility_of_bid(
-            k, deviation, bids, true_costs[k].curve, gamma, m0, budget, excl_obj
-        )
+        u_truth, u_dev = _trial_utilities(_Market(m0, bids, budget), k, deviation, gamma)
         violation = u_dev - u_truth
         max_violation = max(max_violation, violation)
         sum_truth += u_truth

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import GridError, InfeasibleError, ScenarioError
+from .errors import ContractError, GridError, InfeasibleError, ScenarioError
 from .robust import DisturbanceBudget, expand_performance_constraint, worst_case_metric
 
 __all__ = [
@@ -236,8 +236,9 @@ class _Market:
     is then a binary search over pieces and a clamped stationary point;
     a capped plan fills to the level its cap requires.
 
-    The same arrays price every single-agent abstention: removing agent k
-    at bus b changes C only through bus b's own supply.
+    The same arrays price any change to one agent's bid that does not
+    enlarge its bus's supply, an abstention or a re-priced bid: it changes
+    C only through that bus's own supply.
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
@@ -259,11 +260,8 @@ class _Market:
         ]
         reach = [m0[i] + self.supplies[i].capacity for i in range(n)]
         self.lo = min(m0)
-        self.cap = min(reach)
-        # An abstention at the bus that sets the cap can lift it to the next lowest reach.
-        order = sorted(range(n), key=reach.__getitem__)
-        self._cap_bus = order[0]
-        self._next_reach = reach[order[1]] if n > 1 else math.inf
+        self._cap_bus = min(range(n), key=reach.__getitem__)
+        self.cap = reach[self._cap_bus]
         self._curve = None
 
     def _sweep(self):
@@ -304,9 +302,14 @@ class _Market:
     def level(self, weight: float, swap=None) -> float:
         """Minimizer of weight / L + C(L) over [min m0, reach cap].
 
-        ``swap = (b, supply)`` replaces bus b's supply, as an abstention
-        at bus b does, and lowers the reach cap to match. Slopes are
-        probed at piece midpoints, where every step function is
+        ``swap = (b, supply)`` replaces bus b's supply with any supply no
+        larger than bus b's own, up to rounding, as an abstention or a
+        re-priced bid at bus b does. The reach cap becomes
+        ``min(cap, m0_b + supply.capacity)``: no other bus's reach moves,
+        and re-summing the same widths in another order can come out an
+        ulp above the original. A supply larger beyond rounding raises
+        :class:`ContractError`, since the sweep stops at the cap. Slopes
+        are probed at piece midpoints, where every step function is
         unambiguous, never at a breakpoint: ``(m0_b + knot) - m0_b`` can
         round below ``knot``.
         """
@@ -318,7 +321,12 @@ class _Market:
         if swap is not None:
             b, supply = swap
             m0_b = self.m0[b]
-            top = min(self._next_reach if b == self._cap_bus else self.cap, m0_b + supply.capacity)
+            own = self.supplies[b].capacity
+            if supply.capacity - own > 1e-9 * max(1.0, own):
+                raise ContractError(
+                    f"swapped-in supply {supply.capacity:.17g} exceeds bus {b}'s own {own:.17g}"
+                )
+            top = min(self.cap, m0_b + supply.capacity)
             old_starts, old_prices = _tier_starts(m0_b, self.supplies[b])
             extra, new_prices = _tier_starts(m0_b, supply)
         last = len(slopes) - 1
@@ -391,19 +399,48 @@ class _Market:
             mu=tuple(mu), m=tuple(m), level=level, objective_parts=(float(gamma_term), float(cost))
         )
 
-    def solve(self, gamma: float) -> Allocation:
+    def weight(self, gamma: float) -> float:
+        """Trade-off weight gamma * pi_tot of the metric term gamma * pi_tot / L."""
         if not (math.isfinite(gamma) and gamma > 0):
             raise GridError(f"gamma must be positive and finite, got {gamma!r}")
-        return self.fill(self.level(gamma * self.budget.pi_tot), gamma)
+        return gamma * self.budget.pi_tot
+
+    def solve(self, gamma: float) -> Allocation:
+        return self.fill(self.level(self.weight(gamma)), gamma)
+
+    def _agent_fill(self, k: int, supply, need: float) -> float:
+        """Agent ``k``'s share when ``supply``, its bus's offers in bus order, fills ``need``."""
+        if need <= 0:
+            return 0.0
+        pos = [j for j, _ in self.by_bus[self.agents[k].bus]].index(k)
+        return supply.fill(min(need, supply.capacity))[1][pos]
+
+    def optimum(self, k: int, weight: float):
+        """Optimal trade-off objective and agent ``k``'s quantity in that plan."""
+        level = self.level(weight)
+        b = self.agents[k].bus
+        return weight / level + self.cost(level), self._agent_fill(k, self.supplies[b], level - self.m0[b])
+
+    def swap_optimum(self, k: int, weight: float, curve=None):
+        """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
+
+        ``curve=None`` means agent k abstains (quantity 0). Either way only
+        k's bus changes, so this is one level search on this market's sweep.
+        """
+        b = self.agents[k].bus
+        if curve is None:
+            offers = [ag.curve for j, ag in self.by_bus[b] if j != k]
+        else:
+            offers = [curve if j == k else ag.curve for j, ag in self.by_bus[b]]
+        supply = _BusSupply(list(enumerate(offers)))
+        level = self.level(weight, swap=(b, supply))
+        q = level - self.m0[b]
+        objective = weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
+        return objective, 0.0 if curve is None else self._agent_fill(k, supply, q)
 
     def exclusion_objective(self, k: int, gamma: float) -> float:
         """Optimal trade-off objective with agent ``k`` absent, from this sweep."""
-        b = self.agents[k].bus
-        supply = _BusSupply([(p, ag.curve) for p, (j, ag) in enumerate(self.by_bus[b]) if j != k])
-        weight = gamma * self.budget.pi_tot
-        level = self.level(weight, swap=(b, supply))
-        q = level - self.m0[b]
-        return weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
+        return self.swap_optimum(k, self.weight(gamma))[0]
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:

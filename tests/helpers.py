@@ -7,7 +7,9 @@ vertices, the auction oracle re-solves the market once per abstaining
 agent instead of reusing the base solve's sweep, and the multiplier oracle
 bisects on trade-off solves instead of reading the fill-cost slope, and
 the Lyapunov oracle solves the deflated equation with scipy's
-Bartels-Stewart solver instead of the package's sign iteration.
+Bartels-Stewart solver instead of the package's sign iteration. The audit
+oracle clears each trial's truthful bid, deviation and abstention as three
+separate markets instead of swaps on one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.linalg import expm, null_space, solve_continuous_lyapunov
 from inertia_market import (
     Agent,
     AuctionOutcome,
+    AuditReport,
     CostCurve,
     DisturbanceBudget,
     build_grid,
@@ -26,6 +29,7 @@ from inertia_market import (
     solve_centralized_soft,
     worst_case_metric,
 )
+from inertia_market.auction import AUDIT_TOL, deviation_curve, random_convex_curve
 
 
 def make_grid(m0, d, lines, labels=None):
@@ -251,3 +255,42 @@ def dual_gamma_bisection_oracle(gamma_bar, m0, agents, budget, tol=1e-9, max_ste
         else:
             lo, cost_lo = mid, cost_mid
     raise AssertionError(f"bisection oracle did not converge in {max_steps} steps")
+
+
+def incentive_audit_resolve_oracle(true_costs, gamma, m0, budget, trials, seed):
+    """``incentive_audit``'s report from three full solves per trial.
+
+    Same draws in the same order; the abstention is an ``exclusion_solve``
+    and each bid a ``solve_centralized_soft`` on the trial's bids with that
+    bid in place. Violations are reported in ``max_violation``, not raised.
+    """
+    rng = np.random.default_rng(seed)
+    max_violation, sum_truth, sum_dev = -np.inf, 0.0, 0.0
+    for _ in range(trials):
+        k = int(rng.integers(len(true_costs)))
+        bids = [
+            ag if j == k else Agent(id=ag.id, bus=ag.bus, curve=random_convex_curve(rng))
+            for j, ag in enumerate(true_costs)
+        ]
+        true_cost = true_costs[k].curve
+        deviation = deviation_curve(rng, true_cost)
+        excl_obj = exclusion_solve(k, bids, gamma, m0, budget).objective
+        utilities = []
+        for bid in (true_cost, deviation):
+            trial_bids = list(bids)
+            trial_bids[k] = Agent(id=bids[k].id, bus=bids[k].bus, curve=bid)
+            base = solve_centralized_soft(gamma, m0, trial_bids, budget)
+            q = base.mu[k]
+            payment = excl_obj - (base.objective - bid.value(q))
+            utilities.append(payment - true_cost.value(q))
+        u_truth, u_dev = utilities
+        max_violation = max(max_violation, u_dev - u_truth)
+        sum_truth += u_truth
+        sum_dev += u_dev
+    return AuditReport(
+        trials=trials,
+        max_violation=max_violation,
+        mean_truthful_utility=sum_truth / trials,
+        mean_deviation_utility=sum_dev / trials,
+        tolerance=AUDIT_TOL,
+    )

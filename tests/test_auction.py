@@ -1,6 +1,10 @@
 """Auction clearing, externality payments, and the truthfulness audit."""
 
+import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from inertia_market import (
     ContractError,
     CostCurve,
     DisturbanceBudget,
+    GridError,
     InfeasibleError,
     agent_utility,
     case_study,
@@ -23,8 +28,11 @@ from inertia_market import (
     worst_case_metric,
 )
 from inertia_market.auction import deviation_curve, random_convex_curve
+from inertia_market.planner import _BusSupply
 
-from helpers import random_market, run_auction_resolve_oracle
+from helpers import incentive_audit_resolve_oracle, random_market, run_auction_resolve_oracle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def single_bus_instance():
@@ -356,14 +364,14 @@ class TestIncentiveAudit:
         np.testing.assert_array_equal(a.utilities, b.utilities)
 
     def test_audit_raises_on_violation_with_replay_instance(self, monkeypatch):
-        # Force a defective utility evaluation to confirm the failure path
-        # serializes the offending instance.
+        # Force a defective trial, in which the deviation gains 1, to
+        # confirm the failure path serializes the offending instance.
         import inertia_market.auction as auction_mod
 
-        def rigged_utility(k, bid_k, bids, true_cost_k, *rest):
-            return 0.0 if bid_k == true_cost_k else 1.0
+        def rigged_trial(market, k, deviation, gamma):
+            return 0.0, 1.0
 
-        monkeypatch.setattr(auction_mod, "_utility_of_bid", rigged_utility)
+        monkeypatch.setattr(auction_mod, "_trial_utilities", rigged_trial)
         m0, agents, budget = single_bus_instance()
         with pytest.raises(AuditError, match="truthful bidding lost") as exc_info:
             incentive_audit(agents, 16.0, m0, budget, trials=5, seed=1)
@@ -375,6 +383,23 @@ class TestIncentiveAudit:
         m0, agents, budget = single_bus_instance()
         with pytest.raises(Exception, match="trials"):
             incentive_audit(agents, 16.0, m0, budget, trials=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "no_agents, trials, gamma",
+        [
+            (True, 5, 16.0),
+            (False, 2.5, 16.0),
+            (False, 5, math.nan),
+            (False, 5, math.inf),
+            (False, 5, 0.0),
+            (False, 5, -1.0),
+        ],
+        ids=["no-agents", "fractional-trials", "nan-gamma", "inf-gamma", "zero-gamma", "negative-gamma"],
+    )
+    def test_audit_rejects_bad_inputs(self, no_agents, trials, gamma):
+        m0, agents, budget = single_bus_instance()
+        with pytest.raises(GridError):
+            incentive_audit([] if no_agents else agents, gamma, m0, budget, trials=trials, seed=1)
 
     def test_audit_report_fields(self):
         rng = np.random.default_rng(5)
@@ -392,3 +417,107 @@ class TestIncentiveAudit:
             assert dev.cap == pytest.approx(curve.cap, rel=1e-12)
             prices = [p for _, p in dev.segments]
             assert prices == sorted(prices)
+
+
+def assert_audit_matches_oracle(agents, gamma, m0, budget, trials, seed):
+    """incentive_audit agrees with three solves per trial on every report field."""
+    got = incentive_audit(agents, gamma, m0, budget, trials=trials, seed=seed)
+    want = incentive_audit_resolve_oracle(agents, gamma, m0, budget, trials=trials, seed=seed)
+    assert got.trials == want.trials == trials
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert abs(g - w) <= 1e-9 * max(1.0, abs(w)), (field.name, g, w)
+    return got
+
+
+class TestAuditMatchesResolveOracle:
+    def test_random_markets(self):
+        rng = np.random.default_rng(211)
+        for draw in range(300):
+            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=4, max_agents=6, price_grid=grid)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
+
+    def test_one_bus_one_agent(self):
+        agents = [Agent("solo", 0, CostCurve(((1.5, 0.5), (2.0, 4.0))))]
+        m0, budget = np.array([1.0]), DisturbanceBudget(3.0, 1)
+        for gamma in (0.1, 2.0, 50.0):
+            assert_audit_matches_oracle(agents, gamma, m0, budget, trials=10, seed=3)
+
+    def test_zero_budget(self):
+        m0, agents, budget = random_market(np.random.default_rng(8), max_buses=3, max_agents=5)
+        budget = DisturbanceBudget(0.0, budget.n)
+        report = assert_audit_matches_oracle(agents, 5.0, m0, budget, trials=10, seed=4)
+        assert report.max_violation == report.mean_truthful_utility == 0.0
+
+    def test_deviation_re_summed_above_the_cap_bus_supply(self):
+        # One bus, so it sets the reach cap, and a weight that puts the
+        # optimum at the cap. On trial 6 agent a2's deviation interleaves
+        # its widths with a1's differently, and the bus supply re-sums
+        # one ulp above the original: a search topped at m0 + that
+        # capacity ran past the last breakpoint of the sweep.
+        agents = [
+            Agent("a0", 0, CostCurve(((0.674204741645329, 0.2272837841732678),))),
+            Agent(
+                "a1",
+                0,
+                CostCurve(
+                    ((1.6263195730551894, 0.21089851496056755), (0.31110829577208404, 10.237976441026639))
+                ),
+            ),
+            Agent(
+                "a2",
+                0,
+                CostCurve(
+                    (
+                        (0.6834653581362238, 0.524067556723272),
+                        (1.2555752097302295, 0.6657928827875277),
+                        (1.8816667563246303, 3.371031219118499),
+                    )
+                ),
+            ),
+        ]
+        m0, budget = np.array([0.9694175492239064]), DisturbanceBudget(16.669686622428042, 1)
+        gamma, seed = 2135.7085938895357, 699863
+        rng = np.random.default_rng(seed)
+        for _ in range(7):  # replay the audit's draws up to trial 6
+            k = int(rng.integers(len(agents)))
+            bids = [
+                ag if j == k else Agent(ag.id, 0, random_convex_curve(rng)) for j, ag in enumerate(agents)
+            ]
+            deviation = deviation_curve(rng, agents[k].curve)
+        own = _BusSupply(list(enumerate(ag.curve for ag in bids))).capacity
+        swapped = _BusSupply(list(enumerate(deviation if j == k else ag.curve for j, ag in enumerate(bids))))
+        assert k == 2 and swapped.capacity == math.nextafter(own, math.inf)
+        assert_audit_matches_oracle(agents, gamma, m0, budget, trials=7, seed=seed)
+
+    def test_colocated_partners_at_one_price(self):
+        # The case study's buses 2 and 12 hold partners bidding the same
+        # price (2a and 2c at 1.0), whose quantities split equally.
+        scn = case_study()
+        costs = scn.market_agents("cost")
+        for gamma in (50.0, 1426.87):
+            assert_audit_matches_oracle(costs, gamma, scn.m0, scn.budget, trials=40, seed=12)
+
+
+def _load_perfbench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while being defined.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_audit_matches_stored_benchmark_results(monkeypatch, batch):
+    # The benchmark's audit batches (perfbench/markets.py) against its
+    # stored results (perfbench/refs/audit.json), both read only.
+    import inertia_market
+
+    markets, ops = _load_perfbench("markets", monkeypatch), _load_perfbench("ops", monkeypatch)
+    size = markets.AUDIT_BATCH
+    instances = [markets.make_audit_instance(s) for s in range(batch * size, (batch + 1) * size)]
+    out = ops.op_audit(inertia_market, instances)
+    assert ops.check("audit", out, ops.load_refs("audit")[str(batch)]) == []

@@ -7,6 +7,7 @@ import pytest
 
 from inertia_market import (
     Agent,
+    ContractError,
     CostCurve,
     DisturbanceBudget,
     GridError,
@@ -20,6 +21,7 @@ from inertia_market import (
     solve_centralized_soft,
     worst_case_metric,
 )
+from inertia_market.planner import _BusSupply, _Market
 
 from helpers import dual_gamma_bisection_oracle, grid_search_objective, random_market
 
@@ -348,3 +350,61 @@ def test_residual_inertia_must_be_positive_and_finite(bad):
     for call in calls:
         with pytest.raises(GridError, match="residual inertia"):
             call()
+
+
+class TestSwapOptimum:
+    """A re-priced bid or an abstention priced on one market, against a re-solve."""
+
+    @staticmethod
+    def resolve(agents, k, curve, gamma, m0, budget):
+        bids = list(agents)
+        if curve is None:
+            return solve_centralized_soft(gamma, m0, bids, budget, excluded=(k,)), 0.0
+        bids[k] = Agent(agents[k].id, agents[k].bus, curve)
+        alloc = solve_centralized_soft(gamma, m0, bids, budget)
+        return alloc, alloc.mu[k]
+
+    def test_colocated_partners_at_one_price(self):
+        # A and C share price 1 at bus 0 (as 2a and 2c do in the case
+        # study). A re-bid at that price keeps the tie and the equal
+        # split; cheaper or dearer breaks it; abstaining removes it.
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 2.0)),
+            Agent("B", 0, CostCurve.linear(5.0, 4.0)),
+            Agent("C", 0, CostCurve.linear(1.0, 6.0)),
+            Agent("D", 1, CostCurve(((1.0, 0.5), (3.0, 2.0)))),
+        ]
+        m0, budget = np.array([1.0, 1.5]), DisturbanceBudget(2.0, 2)
+        curves = [None, CostCurve.linear(1.0, 2.0), CostCurve.linear(0.5, 2.0), CostCurve.linear(3.0, 2.0)]
+        for gamma in (0.5, 4.0, 30.0, 400.0):
+            market = _Market(m0, agents, budget)
+            for curve in curves:
+                objective, q = market.swap_optimum(0, market.weight(gamma), curve)
+                alloc, want_q = self.resolve(agents, 0, curve, gamma, m0, budget)
+                assert objective == pytest.approx(alloc.objective, rel=1e-12, abs=1e-12)
+                assert q == pytest.approx(want_q, rel=1e-12, abs=1e-12)
+
+    def test_own_bid_is_the_market_optimum(self):
+        m0, agents, budget = random_market(np.random.default_rng(41), max_buses=3, max_agents=6)
+        market = _Market(m0, agents, budget)
+        for k, ag in enumerate(agents):
+            base = market.solve(7.0)
+            objective, q = market.optimum(k, market.weight(7.0))
+            assert objective == pytest.approx(base.objective, rel=1e-12)
+            assert q == base.mu[k]
+            swapped, q_swapped = market.swap_optimum(k, market.weight(7.0), ag.curve)
+            assert swapped == pytest.approx(objective, rel=1e-12)
+            assert q_swapped == pytest.approx(q, rel=1e-12, abs=1e-15)
+
+    def test_swapped_supply_larger_than_the_bus_rejected(self):
+        agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 2.0))]
+        market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
+        larger = _BusSupply([(0, CostCurve.linear(1.0, 2.0 + 1e-6))])
+        with pytest.raises(ContractError, match="exceeds bus 0"):
+            market.level(5.0, swap=(0, larger))
+
+    def test_swapped_supply_one_ulp_larger_stops_at_the_cap(self):
+        agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 3.0))]
+        market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
+        ulp_larger = _BusSupply([(0, CostCurve.linear(1.0, math.nextafter(2.0, math.inf)))])
+        assert market.level(1e6, swap=(0, ulp_larger)) == market.cap == 3.0
