@@ -32,13 +32,21 @@ def random_instance(rng, max_buses, max_agents):
     return m0, agents
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, for argparse: anything else is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=int, default=50)
-    parser.add_argument("--trials", type=int, default=20, help="audit trials per instance")
+    parser.add_argument("--instances", type=positive_int, default=50)
+    parser.add_argument("--trials", type=positive_int, default=20, help="audit trials per instance")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-buses", type=int, default=3)
-    parser.add_argument("--max-agents", type=int, default=5)
+    parser.add_argument("--max-buses", type=positive_int, default=3)
+    parser.add_argument("--max-agents", type=positive_int, default=5)
     args = parser.parse_args()
 
     from inertia_market import DisturbanceBudget

@@ -14,12 +14,12 @@ value at the cleared quantity. Two clearing objectives are supported:
   equivalent for one agent). Always feasible, and the mode under which
   the truthfulness and participation properties are audited.
 * capped mode (``run_auction_hard``): quantities come from the
-  minimum-cost solve under the worst-case cap, and abstention re-solves
-  keep the cap. The cap binds in the base and abstention problems alike,
-  so the metric terms cancel out of payments and the externality is a pure
-  cost difference. An abstention re-solve can be infeasible when a
-  provider is indispensable; that is reported as one error naming every
-  such provider, never hidden.
+  minimum-cost solve under the worst-case cap, and abstentions keep the
+  cap. The cap fixes the level, so the metric terms cancel out of payments,
+  the externality is a pure cost difference, and an abstention re-fills
+  only the abstainer's bus, on the base solve's market. An abstention can
+  miss the cap when a provider is indispensable; that is reported as one
+  error naming every such provider, never hidden.
 
 The incentive audit clears each trial on one market of the trial's bids.
 The truthful plan is that market's optimum. The deviation and the
@@ -40,15 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AuditError, ContractError, GridError, InfeasibleError
-from .planner import (
-    Agent,
-    Allocation,
-    CostCurve,
-    _Market,
-    dual_gamma_iterate,
-    solve_centralized_hard,
-    solve_centralized_soft,
-)
+from .planner import Agent, Allocation, CostCurve, _Market, solve_centralized_soft
 from .robust import DisturbanceBudget, worst_case_metric
 
 __all__ = [
@@ -188,10 +180,11 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     gamma = float(gamma)
     market = _Market(m0, bids, budget)
     base = market.solve(gamma)
+    weight = market.weight(gamma)
     payments = []
     excl_objs = []
     for k, (ag, q) in enumerate(zip(bids, base.mu)):
-        excl_obj = market.exclusion_objective(k, gamma) if q > 0 else base.objective
+        excl_obj = market.swap_optimum(k, weight)[0] if q > 0 else base.objective
         excl_objs.append(excl_obj)
         payments.append(_externality_payment(excl_obj, base.objective, ag.curve.value(q)))
     return AuctionOutcome(
@@ -210,44 +203,39 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     """Clear the capped market and pay cost-difference externalities.
 
     Quantities come from the minimum-cost solve under
-    Gamma(m) <= gamma_bar; agent k's payment is the abstention re-solve's
-    cost increase plus its own bid value. The equivalent trade-off
-    multiplier comes from ``dual_gamma_iterate`` in closed form and is
-    reported in ``gamma``. When some abstentions cannot meet the cap, one
-    :class:`InfeasibleError` names all those pivotal agents and their buses.
+    Gamma(m) <= gamma_bar; agent k's payment is its abstention's cost
+    increase plus its own bid value. The cap fixes the level, so that
+    abstention re-fills only k's bus, on the base solve's market. The
+    equivalent trade-off multiplier of ``dual_gamma_iterate`` comes from
+    the same market and is reported in ``gamma``. When some abstentions
+    cannot meet the cap, one :class:`InfeasibleError` names all those
+    pivotal agents and their buses.
     """
-    m0 = tuple(map(float, m0))
-    base = solve_centralized_hard(gamma_bar, m0, bids, budget)
-    base_cost = base.total_cost
-    n_agents = len(bids)
-    payments = [0.0] * n_agents
-    excl_costs = [0.0] * n_agents
-    pivotal = []
-    for k in range(n_agents):
-        try:
-            excl = solve_centralized_hard(gamma_bar, m0, bids, budget, excluded=(k,))
-        except InfeasibleError:
-            pivotal.append(k)
-            continue
-        excl_costs[k] = excl.total_cost
-        payments[k] = _externality_payment(
-            excl.total_cost, base_cost, bids[k].curve.value(base.mu[k])
-        )
+    market = _Market(m0, bids, budget)
+    level = market.required_level(gamma_bar)
+    base = market.fill(level)
+    excl_costs = [
+        market.capped_exclusion_cost(k, level) if q > 0 else base.total_cost for k, q in enumerate(base.mu)
+    ]
+    pivotal = [k for k, cost in enumerate(excl_costs) if cost is None]
     if pivotal:
         raise InfeasibleError(
             "the cap cannot be met if any of these pivotal agents abstains: "
             + ", ".join(f"{bids[k].id!r} (bus {bids[k].bus})" for k in pivotal),
             bus=bids[pivotal[0]].bus,
         )
-    gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
+    payments = [
+        _externality_payment(cost, base.total_cost, ag.curve.value(q))
+        for cost, ag, q in zip(excl_costs, bids, base.mu)
+    ]
     return AuctionOutcome(
         allocation=base,
         payments=tuple(payments),
         utilities=_utilities(payments, base.mu, true_costs),
         exclusion_objectives=tuple(excl_costs),
-        gamma=gamma_star,
+        gamma=market._multiplier(level)[0],
         mode="hard",
-        m0=m0,
+        m0=market.m0,
         pi_tot=budget.pi_tot,
     )
 

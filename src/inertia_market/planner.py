@@ -226,6 +226,11 @@ def _tier_starts(m0_i, supply):
     return [m0_i + knot for knot in supply.knots[:-1]], [price for price, _ in supply.tiers]
 
 
+def _beyond(level, reach):
+    """Whether ``level`` lies above ``reach`` by more than rounding."""
+    return level > reach and level - reach > 1e-9 * max(1.0, level)
+
+
 class _Market:
     """One market's bus supplies and its aggregate fill-cost curve.
 
@@ -238,7 +243,8 @@ class _Market:
 
     The same arrays price any change to one agent's bid that does not
     enlarge its bus's supply, an abstention or a re-priced bid: it changes
-    C only through that bus's own supply.
+    C only through that bus's own supply. A capped abstention keeps the
+    level, so it re-fills that bus alone and re-sums ``fill``'s bus costs.
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
@@ -370,8 +376,8 @@ class _Market:
 
         Raises :class:`InfeasibleError` naming the bus that cannot reach it.
         """
-        level = expand_performance_constraint(gamma_bar, self.budget, len(self.m0))
-        if level > self.cap and level - self.cap > 1e-9 * max(1.0, level):
+        level = float(expand_performance_constraint(gamma_bar, self.budget, len(self.m0)))
+        if _beyond(level, self.cap):
             raise InfeasibleError(
                 f"performance cap needs inertia level {level:.6g} but bus {self._cap_bus} "
                 f"can reach at most {self.cap:.6g}",
@@ -380,17 +386,18 @@ class _Market:
         return level
 
     def fill(self, level: float, gamma: float = 0.0) -> Allocation:
-        """Cheapest plan lifting every bus below ``level`` to it (or to its reach)."""
+        """Cheapest plan lifting every bus below ``level`` to it (or to its reach); keeps ``bus_costs``."""
         level = float(level)
         mu = [0.0] * len(self.agents)
         m = list(self.m0)
         cost = 0.0
+        self.bus_costs = [0.0] * len(self.m0)
         for i, members in enumerate(self.by_bus):
             need = level - self.m0[i]
             if need <= 0 or not members:
                 continue
-            bus_cost, fills = self.supplies[i].fill(min(need, self.supplies[i].capacity))
-            cost += bus_cost
+            self.bus_costs[i], fills = self.supplies[i].fill(min(need, self.supplies[i].capacity))
+            cost += self.bus_costs[i]
             for (k, _), f in zip(members, fills):
                 mu[k] = f
                 m[i] += f
@@ -421,26 +428,49 @@ class _Market:
         b = self.agents[k].bus
         return weight / level + self.cost(level), self._agent_fill(k, self.supplies[b], level - self.m0[b])
 
+    def _swapped_supply(self, k: int, curve=None):
+        """Agent ``k``'s bus and its supply with k bidding ``curve``, or without k for ``curve=None``."""
+        b = self.agents[k].bus
+        if curve is None:
+            offers = [ag.curve for j, ag in self.by_bus[b] if j != k]
+        else:
+            offers = [curve if j == k else ag.curve for j, ag in self.by_bus[b]]
+        return b, _BusSupply(list(enumerate(offers)))
+
     def swap_optimum(self, k: int, weight: float, curve=None):
         """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
 
         ``curve=None`` means agent k abstains (quantity 0). Either way only
         k's bus changes, so this is one level search on this market's sweep.
         """
-        b = self.agents[k].bus
-        if curve is None:
-            offers = [ag.curve for j, ag in self.by_bus[b] if j != k]
-        else:
-            offers = [curve if j == k else ag.curve for j, ag in self.by_bus[b]]
-        supply = _BusSupply(list(enumerate(offers)))
+        b, supply = self._swapped_supply(k, curve)
         level = self.level(weight, swap=(b, supply))
         q = level - self.m0[b]
         objective = weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
         return objective, 0.0 if curve is None else self._agent_fill(k, supply, q)
 
-    def exclusion_objective(self, k: int, gamma: float) -> float:
-        """Optimal trade-off objective with agent ``k`` absent, from this sweep."""
-        return self.swap_optimum(k, self.weight(gamma))[0]
+    def capped_exclusion_cost(self, k: int, level: float):
+        """Cost at ``level``, after ``fill(level)``, without agent ``k``; None if k is pivotal.
+
+        Re-fills k's bus alone and sums in ``fill``'s order: a re-solve's cost to the bit.
+        """
+        b, supply = self._swapped_supply(k)
+        if _beyond(level, self.m0[b] + supply.capacity):
+            return None
+        own = supply.fill(min(level - self.m0[b], supply.capacity))[0]
+        cost = 0.0
+        for i, c in enumerate(self.bus_costs):
+            cost += own if i == b else c
+        return cost
+
+    def _multiplier(self, level: float):
+        """``dual_gamma_iterate``'s multiplier for the capped ``level``, and the level it fills to."""
+        # The piece ending at L: bisect_left puts a level on a breakpoint into the piece to its left.
+        pts, slopes, _ = self._sweep()
+        j = min(bisect_left(pts, level), len(slopes)) - 1
+        if j < 0:
+            return 0.0, self.lo
+        return level * level * slopes[j] / self.budget.pi_tot, level
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -479,13 +509,7 @@ def dual_gamma_iterate(gamma_bar, m0, agents, budget: DisturbanceBudget):
     the cap is slack at m0), and the capped plan.
     """
     market = _Market(m0, agents, budget)
-    level = market.required_level(gamma_bar)
-    # The piece ending at L: bisect_left puts a level on a breakpoint into the piece to its left.
-    pts, slopes, _ = market._sweep()
-    j = min(bisect_left(pts, level), len(slopes)) - 1
-    if j < 0:
-        return 0.0, market.fill(market.lo)
-    gamma = level * level * slopes[j] / budget.pi_tot
+    gamma, level = market._multiplier(market.required_level(gamma_bar))
     return gamma, market.fill(level, gamma)
 
 
@@ -496,7 +520,7 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
     in proportion to their capacities, regardless of cost.
     """
     market = _Market(m0, agents, budget)
-    level = float(market.required_level(gamma_bar))
+    level = market.required_level(gamma_bar)
     mu = [0.0] * len(agents)
     m = list(market.m0)
     cost = 0.0

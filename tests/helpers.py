@@ -3,13 +3,13 @@
 The oracles deliberately avoid the code paths they check: the Gramian
 oracle integrates the matrix exponential numerically, the planner oracle
 grid-searches the fill level, the worst-case oracle enumerates polytope
-vertices, the auction oracle re-solves the market once per abstaining
-agent instead of reusing the base solve's sweep, and the multiplier oracle
-bisects on trade-off solves instead of reading the fill-cost slope, and
-the Lyapunov oracle solves the deflated equation with scipy's
-Bartels-Stewart solver instead of the package's sign iteration. The audit
-oracle clears each trial's truthful bid, deviation and abstention as three
-separate markets instead of swaps on one.
+vertices, the auction oracles (trade-off and capped) re-solve the market
+once per abstaining agent instead of reusing the base solve's market, the
+multiplier oracle bisects on trade-off solves instead of reading the
+fill-cost slope, and the Lyapunov oracle solves the deflated equation
+with scipy's Bartels-Stewart solver instead of the package's sign
+iteration. The audit oracle clears each trial's truthful bid, deviation
+and abstention as three separate markets instead of swaps on one.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ from inertia_market import (
     AuditReport,
     CostCurve,
     DisturbanceBudget,
+    InfeasibleError,
     build_grid,
+    dual_gamma_iterate,
     exclusion_solve,
+    solve_centralized_hard,
     solve_centralized_soft,
     worst_case_metric,
 )
@@ -217,6 +220,51 @@ def run_auction_resolve_oracle(bids, gamma, m0, budget):
         exclusion_objectives=excl_objs,
         gamma=float(gamma),
         mode="soft",
+        m0=m0,
+        pi_tot=budget.pi_tot,
+    )
+
+
+def run_auction_hard_resolve_oracle(bids, gamma_bar, m0, budget, true_costs=None):
+    """Capped auction by N+2 full solves: the base, one per abstaining agent, and the multiplier's.
+
+    Payments are p_k = C(plan without k) - (C(base plan) - bid_k(mu_k)),
+    every exclusion cost coming from its own ``solve_centralized_hard``.
+    Abstentions that miss the cap raise one :class:`InfeasibleError`
+    naming every such agent.
+    """
+    m0 = tuple(map(float, m0))
+    base = solve_centralized_hard(gamma_bar, m0, bids, budget)
+    base_cost = base.total_cost
+    n_agents = len(bids)
+    payments = [0.0] * n_agents
+    excl_costs = [0.0] * n_agents
+    pivotal = []
+    for k in range(n_agents):
+        try:
+            excl = solve_centralized_hard(gamma_bar, m0, bids, budget, excluded=(k,))
+        except InfeasibleError:
+            pivotal.append(k)
+            continue
+        excl_costs[k] = excl.total_cost
+        payments[k] = excl.total_cost - (base_cost - bids[k].curve.value(base.mu[k]))
+    if pivotal:
+        raise InfeasibleError(
+            "the cap cannot be met if any of these pivotal agents abstains: "
+            + ", ".join(f"{bids[k].id!r} (bus {bids[k].bus})" for k in pivotal),
+            bus=bids[pivotal[0]].bus,
+        )
+    gamma_star, _ = dual_gamma_iterate(gamma_bar, m0, bids, budget)
+    utilities = None
+    if true_costs is not None:
+        utilities = tuple(p - c.value(q) for p, q, c in zip(payments, base.mu, true_costs))
+    return AuctionOutcome(
+        allocation=base,
+        payments=tuple(payments),
+        utilities=utilities,
+        exclusion_objectives=tuple(excl_costs),
+        gamma=gamma_star,
+        mode="hard",
         m0=m0,
         pi_tot=budget.pi_tot,
     )

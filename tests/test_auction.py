@@ -27,10 +27,16 @@ from inertia_market import (
     vcg_payment,
     worst_case_metric,
 )
+from inertia_market import planner
 from inertia_market.auction import deviation_curve, random_convex_curve
 from inertia_market.planner import _BusSupply
 
-from helpers import incentive_audit_resolve_oracle, random_market, run_auction_resolve_oracle
+from helpers import (
+    incentive_audit_resolve_oracle,
+    random_market,
+    run_auction_hard_resolve_oracle,
+    run_auction_resolve_oracle,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -339,6 +345,149 @@ class TestHardModeAuction:
         out = run_auction_hard(bids, 0.29, scn.m0, scn.budget)
         assert 1426.8 <= out.gamma <= 1427.0
         assert out.mode == "hard"
+
+
+def _outcome_or_error(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except InfeasibleError as exc:
+        return str(exc), exc.bus
+
+
+def assert_capped_matches_oracle(bids, gamma_bar, m0, budget):
+    """run_auction_hard equals N+2 re-solves exactly: every field, or the error's text and bus."""
+    costs = [ag.curve for ag in bids]
+    got = _outcome_or_error(run_auction_hard, bids, gamma_bar, m0, budget, true_costs=costs)
+    want = _outcome_or_error(run_auction_hard_resolve_oracle, bids, gamma_bar, m0, budget, true_costs=costs)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert g == w, field.name
+        assert type(g) is type(w), field.name
+        if isinstance(w, tuple):
+            assert [type(x) for x in g] == [type(x) for x in w], field.name
+    for q, p, e in zip(got.mu, got.payments, got.exclusion_objectives):
+        if q == 0.0:
+            assert p == 0.0 and e == got.allocation.total_cost
+    return got
+
+
+class TestCappedPaymentsMatchResolves:
+    def test_random_markets(self):
+        rng = np.random.default_rng(307)
+        outcomes = {"feasible": 0, "pivotal": 0, "unreachable": 0, "unpaid": 0}
+        for draw in range(1200):
+            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=5, max_agents=10, price_grid=grid)
+            gamma_bar = worst_case_metric(m0, budget).gamma * rng.uniform(0.3, 1.2)
+            if draw % 4 < 2:  # a numpy scalar cap must still give float outputs
+                gamma_bar = np.float64(gamma_bar)
+            out = assert_capped_matches_oracle(agents, gamma_bar, m0, budget)
+            if isinstance(out, tuple):
+                outcomes["pivotal" if "pivotal" in out[0] else "unreachable"] += 1
+            else:
+                outcomes["feasible"] += 1
+                outcomes["unpaid"] += sum(q == 0.0 for q in out.mu)
+        # every branch is exercised many times
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_pivotal_agents(self):
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 5.0)),
+            Agent("C", 1, CostCurve.linear(3.0, 1.0)),
+            Agent("B", 1, CostCurve.linear(2.0, 5.0)),
+            Agent("D", 2, CostCurve.linear(1.0, 5.0)),
+            Agent("E", 2, CostCurve.linear(2.0, 5.0)),
+        ]
+        m0, budget = np.array([1.0, 1.0, 1.0]), DisturbanceBudget(6.0, 3)
+        message, bus = assert_capped_matches_oracle(agents, 1.5, m0, budget)
+        assert message.endswith("abstains: 'A' (bus 0), 'B' (bus 1)") and bus == 0
+
+    def test_level_on_a_tier_start(self):
+        # The level 1.0 + 2.0 is where B's tier starts at bus 0.
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 2.0)),
+            Agent("B", 0, CostCurve.linear(2.0, 2.0)),
+            Agent("C", 1, CostCurve.linear(1.5, 4.0)),
+            Agent("D", 1, CostCurve.linear(3.0, 4.0)),
+        ]
+        m0, budget = np.array([1.0, 2.0]), DisturbanceBudget(3.0, 2)
+        out = assert_capped_matches_oracle(agents, 1.0, m0, budget)
+        assert out.level == 3.0 and out.mu == (2.0, 0.0, 1.0, 0.0)
+        # Without A, B fills bus 0 at price 2: 4 + 1.5 - (3.5 - 2) = 4.
+        # Without C, D fills bus 1 at price 3: 2 + 3 - (3.5 - 1.5) = 3.
+        assert out.payments == (4.0, 0.0, 3.0, 0.0)
+        # The left slope at the level is A's price plus C's.
+        assert out.gamma == 3.0**2 * (1.0 + 1.5) / 3.0
+        # Without K the level sits on bus 0's first knot, 0.6 + 0.7, which
+        # re-subtracts to a need below the knot's width.
+        assert (0.6 + 0.7) - 0.6 < 0.7
+        agents = [
+            Agent("A", 0, CostCurve(((0.7, 1.0), (3.0, 10.0)))),
+            Agent("K", 0, CostCurve.linear(1.0, 4.0)),
+            Agent("B", 1, CostCurve.linear(2.0, 5.0)),
+            Agent("B2", 1, CostCurve.linear(2.0, 6.0)),
+        ]
+        m0, budget = np.array([0.6, 1.0]), DisturbanceBudget(0.6 + 0.7, 2)
+        out = assert_capped_matches_oracle(agents, 1.0, m0, budget)
+        assert out.level == 0.6 + 0.7 and out.mu[0] == out.mu[1] > 0
+
+    def test_lone_agent_at_the_bus_setting_the_reach(self):
+        agents = [
+            Agent("solo", 0, CostCurve.linear(1.0, 2.0)),
+            Agent("p", 1, CostCurve.linear(1.0, 5.0)),
+            Agent("q", 1, CostCurve.linear(2.0, 5.0)),
+        ]
+        m0 = np.array([1.0, 1.5])
+        # At the reach cap 1.0 + 2.0, and well below it: solo is pivotal.
+        for pi_tot in (6.0, 4.0):
+            message, bus = assert_capped_matches_oracle(agents, 2.0, m0, DisturbanceBudget(pi_tot, 2))
+            assert message.endswith("abstains: 'solo' (bus 0)") and bus == 0
+        # A level within rounding of bus 0's residual inertia: solo's
+        # abstention still meets the cap, and bus 0 then fills nothing.
+        out = assert_capped_matches_oracle(agents, 1.0, m0, DisturbanceBudget(1.0 + 1e-10, 2))
+        assert 0.0 < out.mu[0] < 1e-9
+        assert out.exclusion_objectives[0] == 0.0
+
+    def test_zero_budget(self):
+        m0, agents, budget = random_market(np.random.default_rng(9), max_buses=3, max_agents=6)
+        out = assert_capped_matches_oracle(agents, 1.0, m0, DisturbanceBudget(0.0, budget.n))
+        assert out.level == 0.0 and out.gamma == 0.0
+        assert all(q == 0.0 for q in out.mu) and all(p == 0.0 for p in out.payments)
+
+    def test_zero_quantity_agents_paid_exactly_zero(self):
+        # D and E sit above the level's marginal price and get nothing;
+        # F's bus is above the level.
+        agents = [
+            Agent("A", 0, CostCurve.linear(1.0, 2.0)),
+            Agent("D", 0, CostCurve.linear(3.0, 2.0)),
+            Agent("B", 1, CostCurve(((1.0, 0.0), (1.0, 2.0)))),
+            Agent("E", 1, CostCurve.linear(4.0, 4.0)),
+            Agent("F", 2, CostCurve.linear(1.0, 1.0)),
+        ]
+        m0, budget = np.array([1.0, 1.0, 5.0]), DisturbanceBudget(2.5, 3)
+        out = assert_capped_matches_oracle(agents, 1.0, m0, budget)
+        unpaid = [ag.id for ag, q in zip(agents, out.mu) if q == 0.0]
+        assert unpaid == ["D", "E", "F"]
+        assert [out.payments[k] for k in (1, 3, 4)] == [0.0, 0.0, 0.0]
+
+    def test_one_market_per_auction(self, monkeypatch):
+        built = []
+        original = planner._Market.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(planner._Market, "__init__", counting_init)
+        agents = [Agent(f"a{k}", k % 3, CostCurve(((2.0, 1.0 + k), (3.0, 8.0 + k)))) for k in range(10)]
+        m0, budget = (1.0, 1.5, 2.0), DisturbanceBudget(12.0, 3)
+        out = run_auction_hard(agents, 3.0, m0, budget)
+        assert sum(q > 0 for q in out.mu) > 3
+        assert len(built) == 1
 
 
 class TestIncentiveAudit:
