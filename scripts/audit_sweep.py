@@ -40,11 +40,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """An integer of at least 0, for argparse: anything else is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=positive_int, default=50)
     parser.add_argument("--trials", type=positive_int, default=20, help="audit trials per instance")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
     parser.add_argument("--max-buses", type=positive_int, default=3)
     parser.add_argument("--max-agents", type=positive_int, default=5)
     args = parser.parse_args()

@@ -5,12 +5,9 @@ capacity-proportional regulatory comparator, driven by YAML scenarios."""
 from .auction import (
     AuctionOutcome,
     AuditReport,
-    agent_utility,
-    exclusion_solve,
     incentive_audit,
     run_auction,
     run_auction_hard,
-    vcg_payment,
 )
 from .errors import (
     AuditError,
@@ -93,9 +90,6 @@ __all__ = [
     "AuditReport",
     "run_auction",
     "run_auction_hard",
-    "exclusion_solve",
-    "vcg_payment",
-    "agent_utility",
     "incentive_audit",
     # scenario / report
     "Scenario",

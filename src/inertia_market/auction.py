@@ -10,9 +10,8 @@ value at the cleared quantity. Two clearing objectives are supported:
   objective. One fill level decides every plan, and an abstention changes
   the aggregate fill cost only at the abstainer's bus, so all N payments
   come from the base solve's one sorted sweep of fill-price breakpoints
-  rather than N re-solves (``exclusion_solve`` is the stand-alone
-  equivalent for one agent). Always feasible, and the mode under which
-  the truthfulness and participation properties are audited.
+  rather than N re-solves. Always feasible, and the mode under which the
+  truthfulness and participation properties are audited.
 * capped mode (``run_auction_hard``): quantities come from the
   minimum-cost solve under the worst-case cap, and abstentions keep the
   cap. The cap fixes the level, so the metric terms cancel out of payments,
@@ -39,18 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AuditError, ContractError, GridError, InfeasibleError
-from .planner import Agent, Allocation, CostCurve, _Market, solve_centralized_soft
-from .robust import DisturbanceBudget, worst_case_metric
+from .errors import AuditError, GridError, InfeasibleError
+from .planner import Agent, Allocation, CostCurve, _Market
+from .robust import DisturbanceBudget
 
 __all__ = [
     "AuctionOutcome",
     "AuditReport",
     "run_auction",
     "run_auction_hard",
-    "exclusion_solve",
-    "vcg_payment",
-    "agent_utility",
     "incentive_audit",
     "random_convex_curve",
     "deviation_curve",
@@ -58,7 +54,6 @@ __all__ = [
 
 # Audit verdicts use this slack for floating-point noise.
 AUDIT_TOL = 1e-6
-_CONSISTENCY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,7 @@ class AuctionOutcome:
     minus true cost of the cleared quantity). ``exclusion_objectives[k]``
     is the social cost of the optimal plan with agent k absent; it is
     never below ``objective`` because abstention shrinks the feasible set.
-    ``m0`` and ``pi_tot`` record the problem the outcome was solved on.
-    The per-agent and per-bus fields are tuples of floats.
+    The per-agent fields are tuples of floats.
     """
 
     allocation: Allocation
@@ -81,8 +75,6 @@ class AuctionOutcome:
     exclusion_objectives: tuple[float, ...]
     gamma: float
     mode: str  # "soft" (trade-off) or "hard" (capped)
-    m0: tuple[float, ...]
-    pi_tot: float
 
     @property
     def mu(self) -> tuple[float, ...]:
@@ -97,74 +89,28 @@ class AuctionOutcome:
         return self.allocation.objective
 
 
-def _bid_value(agents, mu) -> float:
-    return sum(ag.curve.value(float(q)) for ag, q in zip(agents, mu))
-
-
-def _worst_case(m, pi_tot) -> float:
-    budget = DisturbanceBudget(pi_tot=pi_tot, n=len(m))
-    return worst_case_metric(m, budget).gamma
-
-
-def exclusion_solve(k: int, bids, gamma, m0, budget: DisturbanceBudget) -> Allocation:
-    """Optimal trade-off plan when agent ``k`` abstains (its quantity pinned to 0)."""
-    if k < 0 or k >= len(bids):
-        raise GridError(f"agent index {k} out of range")
-    return solve_centralized_soft(gamma, m0, bids, budget, excluded=(k,))
-
-
-def vcg_payment(k: int, bids, base: AuctionOutcome, excl: Allocation) -> float:
-    """Externality payment to agent ``k``.
-
-    p_k = B(excluded plan) - (B(base plan) - bid_k(mu_k)), where B is the
-    trade-off objective both plans were solved under. The base outcome and
-    the exclusion plan must come from the same bids and gamma; both
-    objectives are recomputed from the passed bids and mismatches are
-    rejected rather than silently producing a wrong payment.
-    """
-    if k < 0 or k >= len(bids):
-        raise GridError(f"agent index {k} out of range")
-    if base.mode != "soft":
-        raise ContractError("vcg_payment expects a trade-off mode outcome")
-    m_base = _compose_inertia(base.m0, bids, base.mu)
-    base_obj = base.gamma * _worst_case(m_base, base.pi_tot) + _bid_value(bids, base.mu)
-    if not math.isclose(base_obj, base.objective, rel_tol=_CONSISTENCY_TOL, abs_tol=1e-9):
-        raise ContractError(
-            "base outcome does not match the supplied bids/gamma "
-            f"(recomputed objective {base_obj:.9g} vs stored {base.objective:.9g})"
-        )
-    if excl.mu[k] != 0.0:
-        raise ContractError(f"exclusion allocation still assigns quantity to agent {k}")
-    excl_obj = base.gamma * _worst_case(excl.m, base.pi_tot) + _bid_value(bids, excl.mu)
-    if not math.isclose(excl_obj, excl.objective, rel_tol=_CONSISTENCY_TOL, abs_tol=1e-9):
-        raise ContractError(
-            "exclusion allocation does not match the supplied bids/gamma "
-            f"(recomputed objective {excl_obj:.9g} vs stored {excl.objective:.9g})"
-        )
-    return _externality_payment(excl_obj, base_obj, bids[k].curve.value(float(base.mu[k])))
-
-
 def _externality_payment(excl_obj, base_obj, own_bid_value) -> float:
     """VCG payment: others' optimum without the agent minus their share of the base optimum."""
     return excl_obj - (base_obj - own_bid_value)
 
 
-def _compose_inertia(m0, agents, mu) -> list[float]:
-    m = list(map(float, m0))
-    for ag, q in zip(agents, mu):
-        m[ag.bus] += q
-    return m
-
-
-def agent_utility(k: int, outcome: AuctionOutcome, true_cost: CostCurve) -> float:
-    """Net profit of agent ``k``: payment minus true cost of the cleared quantity."""
-    return float(outcome.payments[k]) - true_cost.value(float(outcome.mu[k]))
-
-
-def _utilities(payments, mu, true_costs):
-    if true_costs is None:
-        return None
-    return tuple(p - c.value(q) for p, q, c in zip(payments, mu, true_costs))
+def _outcome(bids, base: Allocation, excl_objs, gamma: float, mode: str, true_costs) -> AuctionOutcome:
+    """Pay each agent its externality against ``base`` and, given true costs, its utility."""
+    payments = tuple(
+        _externality_payment(excl, base.objective, ag.curve.value(q))
+        for excl, ag, q in zip(excl_objs, bids, base.mu)
+    )
+    utilities = None
+    if true_costs is not None:
+        utilities = tuple(p - c.value(q) for p, q, c in zip(payments, base.mu, true_costs))
+    return AuctionOutcome(
+        allocation=base,
+        payments=payments,
+        utilities=utilities,
+        exclusion_objectives=tuple(excl_objs),
+        gamma=gamma,
+        mode=mode,
+    )
 
 
 def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> AuctionOutcome:
@@ -181,22 +127,10 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     market = _Market(m0, bids, budget)
     base = market.solve(gamma)
     weight = market.weight(gamma)
-    payments = []
-    excl_objs = []
-    for k, (ag, q) in enumerate(zip(bids, base.mu)):
-        excl_obj = market.swap_optimum(k, weight)[0] if q > 0 else base.objective
-        excl_objs.append(excl_obj)
-        payments.append(_externality_payment(excl_obj, base.objective, ag.curve.value(q)))
-    return AuctionOutcome(
-        allocation=base,
-        payments=tuple(payments),
-        utilities=_utilities(payments, base.mu, true_costs),
-        exclusion_objectives=tuple(excl_objs),
-        gamma=gamma,
-        mode="soft",
-        m0=market.m0,
-        pi_tot=budget.pi_tot,
-    )
+    excl_objs = [
+        market.swap_optimum(k, weight)[0] if q > 0 else base.objective for k, q in enumerate(base.mu)
+    ]
+    return _outcome(bids, base, excl_objs, gamma, "soft", true_costs)
 
 
 def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=None) -> AuctionOutcome:
@@ -224,20 +158,8 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
             + ", ".join(f"{bids[k].id!r} (bus {bids[k].bus})" for k in pivotal),
             bus=bids[pivotal[0]].bus,
         )
-    payments = [
-        _externality_payment(cost, base.total_cost, ag.curve.value(q))
-        for cost, ag, q in zip(excl_costs, bids, base.mu)
-    ]
-    return AuctionOutcome(
-        allocation=base,
-        payments=tuple(payments),
-        utilities=_utilities(payments, base.mu, true_costs),
-        exclusion_objectives=tuple(excl_costs),
-        gamma=market._multiplier(level)[0],
-        mode="hard",
-        m0=market.m0,
-        pi_tot=budget.pi_tot,
-    )
+    # The plan's objective is 0.0 + its cost, so it equals the cost exactly.
+    return _outcome(bids, base, excl_costs, market._multiplier(level)[0], "hard", true_costs)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +240,8 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
 
     if not hasattr(trials, "__index__") or trials < 1:  # ints, numpy's too; no floats
         raise GridError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not hasattr(seed, "__index__") or seed < 0:
+        raise GridError(f"seed must be a non-negative integer, got {seed!r}")
     if not true_costs:
         raise GridError("the audit needs at least one agent")
     gamma = float(gamma)

@@ -142,10 +142,6 @@ def _cmd_worst_case(args) -> int:
     return 0
 
 
-def _emit(report, fmt, out) -> None:
-    emit_report(report, fmt=fmt, stream=sys.stdout, path=out)
-
-
 def _cmd_plan(args) -> int:
     scn = parse_scenario(args.scenario)
     _require_agents(scn)
@@ -162,7 +158,7 @@ def _cmd_plan(args) -> int:
     else:
         alloc = solve_centralized_soft(gamma, scn.m0, agents, scn.budget)
         title = f"centralized plan (gamma={gamma:g})"
-    _emit(make_report(scn, alloc, title=title), args.format, args.out)
+    emit_report(make_report(scn, alloc, title=title), fmt=args.format, stream=sys.stdout, path=args.out)
     return 0
 
 
@@ -180,7 +176,7 @@ def _cmd_auction(args) -> int:
         title = f"auction (gamma={gamma:g})"
     report = make_report(scn, outcome.allocation, payments=outcome.payments,
                          utilities=outcome.utilities, title=title)
-    _emit(report, args.format, args.out)
+    emit_report(report, fmt=args.format, stream=sys.stdout, path=args.out)
     return 0
 
 

@@ -56,12 +56,6 @@ class Grid:
     d: tuple[float, ...]
     labels: tuple[str, ...]
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise GridError(f"unknown bus label {label!r}") from None
-
 
 def build_grid(raw: dict) -> Grid:
     """Validate a raw grid description and return a :class:`Grid`.

@@ -29,7 +29,7 @@ without inertia-market participation (pure network/load buses).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -104,9 +104,6 @@ class Scenario:
             return self.pi
         n = len(self.bus_labels)
         return (self.budget.pi_tot / n,) * n
-
-    def with_mode(self, gamma=None, gamma_bar=None) -> "Scenario":
-        return replace(self, gamma=gamma, gamma_bar=gamma_bar)
 
 
 def _number(raw, where: str) -> float:

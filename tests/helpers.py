@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they check: the Gramian
 oracle integrates the matrix exponential numerically, the planner oracle
 grid-searches the fill level, the worst-case oracle enumerates polytope
 vertices, the auction oracles (trade-off and capped) re-solve the market
-once per abstaining agent instead of reusing the base solve's market, the
+once per abstaining agent, through the solvers' ``excluded=`` keyword,
+instead of reusing the base solve's market, the
 multiplier oracle bisects on trade-off solves instead of reading the
 fill-cost slope, and the Lyapunov oracle solves the deflated equation
 with scipy's Bartels-Stewart solver instead of the package's sign
@@ -27,7 +28,6 @@ from inertia_market import (
     InfeasibleError,
     build_grid,
     dual_gamma_iterate,
-    exclusion_solve,
     solve_centralized_hard,
     solve_centralized_soft,
     worst_case_metric,
@@ -200,12 +200,13 @@ def run_auction_resolve_oracle(bids, gamma, m0, budget):
     """Trade-off auction by N+1 full solves: the base plus one per abstaining agent.
 
     Payments are p_k = B(plan without k) - (B(base plan) - bid_k(mu_k)),
-    every exclusion objective coming from its own ``exclusion_solve``.
+    every exclusion objective coming from its own ``solve_centralized_soft``
+    with that agent excluded.
     """
     m0 = np.asarray(m0, dtype=float)
     base = solve_centralized_soft(gamma, m0, bids, budget)
     excl_objs = np.array(
-        [exclusion_solve(k, bids, gamma, m0, budget).objective for k in range(len(bids))]
+        [solve_centralized_soft(gamma, m0, bids, budget, excluded=(k,)).objective for k in range(len(bids))]
     )
     payments = np.array(
         [
@@ -220,8 +221,6 @@ def run_auction_resolve_oracle(bids, gamma, m0, budget):
         exclusion_objectives=excl_objs,
         gamma=float(gamma),
         mode="soft",
-        m0=m0,
-        pi_tot=budget.pi_tot,
     )
 
 
@@ -265,8 +264,6 @@ def run_auction_hard_resolve_oracle(bids, gamma_bar, m0, budget, true_costs=None
         exclusion_objectives=tuple(excl_costs),
         gamma=gamma_star,
         mode="hard",
-        m0=m0,
-        pi_tot=budget.pi_tot,
     )
 
 
@@ -308,9 +305,9 @@ def dual_gamma_bisection_oracle(gamma_bar, m0, agents, budget, tol=1e-9, max_ste
 def incentive_audit_resolve_oracle(true_costs, gamma, m0, budget, trials, seed):
     """``incentive_audit``'s report from three full solves per trial.
 
-    Same draws in the same order; the abstention is an ``exclusion_solve``
-    and each bid a ``solve_centralized_soft`` on the trial's bids with that
-    bid in place. Violations are reported in ``max_violation``, not raised.
+    Same draws in the same order; the abstention is a
+    ``solve_centralized_soft`` with the agent excluded, and each bid one on
+    the trial's bids with that bid in place. Violations are reported in ``max_violation``, not raised.
     """
     rng = np.random.default_rng(seed)
     max_violation, sum_truth, sum_dev = -np.inf, 0.0, 0.0
@@ -322,7 +319,7 @@ def incentive_audit_resolve_oracle(true_costs, gamma, m0, budget, trials, seed):
         ]
         true_cost = true_costs[k].curve
         deviation = deviation_curve(rng, true_cost)
-        excl_obj = exclusion_solve(k, bids, gamma, m0, budget).objective
+        excl_obj = solve_centralized_soft(gamma, m0, bids, budget, excluded=(k,)).objective
         utilities = []
         for bid in (true_cost, deviation):
             trial_bids = list(bids)

@@ -12,19 +12,15 @@ import pytest
 from inertia_market import (
     Agent,
     AuditError,
-    ContractError,
     CostCurve,
     DisturbanceBudget,
     GridError,
     InfeasibleError,
-    agent_utility,
     case_study,
-    exclusion_solve,
     incentive_audit,
     run_auction,
     run_auction_hard,
     solve_centralized_soft,
-    vcg_payment,
     worst_case_metric,
 )
 from inertia_market import planner
@@ -61,7 +57,6 @@ class TestTradeOffAuction:
         assert out.payments[1] == 0.0
         assert out.utilities[0] == pytest.approx(3.5231, abs=1e-4)
         assert out.utilities[1] == 0.0
-        assert agent_utility(0, out, agents[0].curve) == pytest.approx(3.5231, abs=1e-4)
 
     def test_zero_allocation_pays_zero(self):
         m0, agents, budget = single_bus_instance()
@@ -126,7 +121,7 @@ class TestSweepPaymentsMatchResolves:
         out, _ = assert_matches_resolve_oracle(agents, 20.0, m0, budget)
         assert out.mu[0] > 0
         # bus 0 is left without supply, so its residual inertia caps the level
-        assert exclusion_solve(0, agents, 20.0, m0, budget).level == 1.0
+        assert solve_centralized_soft(20.0, m0, agents, budget, excluded=(0,)).level == 1.0
 
     def test_colocated_agents_at_one_price_split_equally(self):
         agents = [
@@ -160,7 +155,7 @@ class TestSweepPaymentsMatchResolves:
         out, _ = assert_matches_resolve_oracle(agents, 4.0, m0, budget)
         assert out.level == pytest.approx(math.sqrt(8.0), rel=1e-12)
         # without the cheap agent, price 50 beats the marginal gain 4 / 1**2
-        assert exclusion_solve(0, agents, 4.0, m0, budget).level == 1.0
+        assert solve_centralized_soft(4.0, m0, agents, budget, excluded=(0,)).level == 1.0
         tiny, _ = assert_matches_resolve_oracle(agents, 0.1, m0, budget)
         assert tiny.level == 1.0 and all(p == 0.0 for p in tiny.payments)
 
@@ -173,7 +168,7 @@ class TestSweepPaymentsMatchResolves:
         out, _ = assert_matches_resolve_oracle(agents, 100.0, m0, budget)
         assert out.level == 1.5  # bus 0 full: 1.0 + 0.5
         assert out.mu[0] == 0.5 and out.mu[1] == pytest.approx(0.3, rel=1e-12)
-        assert exclusion_solve(1, agents, 100.0, m0, budget).level == 1.2
+        assert solve_centralized_soft(100.0, m0, agents, budget, excluded=(1,)).level == 1.2
 
     def test_zero_price_segments(self):
         agents = [
@@ -196,7 +191,7 @@ class TestSweepPaymentsMatchResolves:
         # slope 2 left of 2.5 and 10 right of it; 16 / 2.5**2 lies between
         out, _ = assert_matches_resolve_oracle(agents, 16.0, m0, budget)
         assert out.level == 2.5
-        assert exclusion_solve(1, agents, 16.0, m0, budget).level == 2.0
+        assert solve_centralized_soft(16.0, m0, agents, budget, excluded=(1,)).level == 2.0
 
     def test_abstention_optimum_on_a_knot_of_the_abstainers_bus(self):
         # Bus 0's first knot sits at 0.6 + 0.7, which rounds so that
@@ -218,7 +213,7 @@ class TestSweepPaymentsMatchResolves:
         level = math.sqrt(13.5 / 7.0)
         assert out.level == pytest.approx(level, rel=1e-12)
         assert out.mu[1] == pytest.approx(level - 1.3, rel=1e-9)
-        assert exclusion_solve(1, agents, 13.5, m0, budget).level == 0.6 + 0.7
+        assert solve_centralized_soft(13.5, m0, agents, budget, excluded=(1,)).level == 0.6 + 0.7
 
 
 class TestExclusionSolve:
@@ -227,7 +222,7 @@ class TestExclusionSolve:
         bids = scn.market_agents("bid")
         gamma = 12.0 * (10.0 / 0.29) ** 2 / 10.0
         k4c = next(k for k, ag in enumerate(scn.agents) if ag.id == "4c")
-        excl = exclusion_solve(k4c, bids, gamma, scn.m0, scn.budget)
+        excl = solve_centralized_soft(gamma, scn.m0, bids, scn.budget, excluded=(k4c,))
         assert excl.mu[k4c] == 0.0
         # level preserved: the bus-4 marginal price is unchanged at the margin
         assert excl.level == pytest.approx(10.0 / 0.29, rel=1e-9)
@@ -240,7 +235,7 @@ class TestExclusionSolve:
     def test_removing_zero_allocated_agent_changes_nothing(self):
         m0, agents, budget = single_bus_instance()
         base = solve_centralized_soft(16.0, m0, agents, budget)
-        excl = exclusion_solve(1, agents, 16.0, m0, budget)
+        excl = solve_centralized_soft(16.0, m0, agents, budget, excluded=(1,))
         np.testing.assert_array_equal(excl.mu, base.mu)
         assert excl.objective == base.objective
 
@@ -253,34 +248,10 @@ class TestExclusionSolve:
         budget = DisturbanceBudget(4.0, 2)
         base = solve_centralized_soft(50.0, m0, agents, budget)
         assert base.level > 2.0  # both buses get filled at this weight
-        excl = exclusion_solve(0, agents, 50.0, m0, budget)
+        excl = solve_centralized_soft(50.0, m0, agents, budget, excluded=(0,))
         # no fill possible at the weakest bus: its residual pins the metric
         assert worst_case_metric(excl.m, budget).gamma == pytest.approx(4.0 / 1.0)
         assert excl.mu[0] == 0.0
-
-
-class TestVcgPayment:
-    def test_matches_run_auction(self):
-        m0, agents, budget = single_bus_instance()
-        out = run_auction(agents, 16.0, m0, budget)
-        for k in range(len(agents)):
-            excl = exclusion_solve(k, agents, 16.0, m0, budget)
-            assert vcg_payment(k, agents, out, excl) == pytest.approx(
-                out.payments[k], rel=1e-12, abs=1e-12
-            )
-
-    def test_rejects_mismatched_inputs(self):
-        m0, agents, budget = single_bus_instance()
-        out = run_auction(agents, 16.0, m0, budget)
-        excl_wrong_gamma = exclusion_solve(0, agents, 8.0, m0, budget)
-        with pytest.raises(ContractError, match="does not match"):
-            vcg_payment(0, agents, out, excl_wrong_gamma)
-        other_bids = [
-            Agent("A", 0, CostCurve.linear(2.0, 2.0)),
-            Agent("B", 0, CostCurve.linear(3.0, 10.0)),
-        ]
-        with pytest.raises(ContractError, match="does not match"):
-            vcg_payment(0, other_bids, out, exclusion_solve(0, agents, 16.0, m0, budget))
 
 
 class TestHardModeAuction:
@@ -315,7 +286,6 @@ class TestHardModeAuction:
         assert out.mu[k4c] == pytest.approx(20.0, rel=1e-12)
         assert out.payments[k4c] == pytest.approx(100.0, rel=1e-9)
         assert out.utilities[k4c] == pytest.approx(80.0, rel=1e-9)
-        assert agent_utility(k4c, out, costs[k4c]) == pytest.approx(80.0, rel=1e-9)
 
     def test_agent_12a_payment_decomposition(self):
         scn = case_study()
@@ -474,8 +444,11 @@ class TestCappedPaymentsMatchResolves:
         assert unpaid == ["D", "E", "F"]
         assert [out.payments[k] for k in (1, 3, 4)] == [0.0, 0.0, 0.0]
 
-    def test_one_market_per_auction(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize(
+        "run, limit", [(run_auction, 30.0), (run_auction_hard, 3.0)], ids=["run_auction", "run_auction_hard"]
+    )
+    def test_one_market_per_auction(self, monkeypatch, run, limit):
+        built, soft_solves = [], []
         original = planner._Market.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -483,11 +456,55 @@ class TestCappedPaymentsMatchResolves:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(planner._Market, "__init__", counting_init)
+        monkeypatch.setattr(planner, "solve_centralized_soft", lambda *args, **kwargs: soft_solves.append(args))
         agents = [Agent(f"a{k}", k % 3, CostCurve(((2.0, 1.0 + k), (3.0, 8.0 + k)))) for k in range(10)]
         m0, budget = (1.0, 1.5, 2.0), DisturbanceBudget(12.0, 3)
-        out = run_auction_hard(agents, 3.0, m0, budget)
+        out = run(agents, limit, m0, budget)
         assert sum(q > 0 for q in out.mu) > 3
-        assert len(built) == 1
+        assert len(built) == 1 and soft_solves == []
+
+
+def true_social_cost(out, bids, k, true_cost, gamma, budget):
+    """F_true of ``out``'s plan: its social cost with agent k's true cost in place of k's bid."""
+    cost = sum(ag.curve.value(q) for j, (ag, q) in enumerate(zip(bids, out.mu)) if j != k)
+    cost += true_cost.value(out.mu[k])
+    if out.mode == "soft":
+        cost += gamma * worst_case_metric(out.allocation.m, budget).gamma
+    return cost
+
+
+@pytest.mark.parametrize("run", [run_auction, run_auction_hard], ids=["soft", "hard"])
+def test_utility_is_exclusion_objective_minus_true_social_cost(run):
+    # The payment rule makes agent k's utility from any bid equal to its
+    # exclusion objective minus F_true(mu), the social objective of the
+    # plan its bid clears with k's true cost in place of the bid. This pins
+    # the payment formula on each instance, for the truthful bid and for a
+    # deviation.
+    rng = np.random.default_rng(401 if run is run_auction else 409)
+    counts = {"checked": 0, "cleared_k": 0, "infeasible": 0}
+    for _ in range(1500):
+        m0, agents, budget = random_market(rng, max_buses=3, max_agents=10)
+        k = int(rng.integers(len(agents)))
+        true_costs = [ag.curve for ag in agents]
+        deviated = list(agents)
+        deviated[k] = Agent(agents[k].id, agents[k].bus, deviation_curve(rng, true_costs[k]))
+        if run is run_auction:
+            limit = gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+        else:
+            limit, gamma = worst_case_metric(m0, budget).gamma * rng.uniform(0.3, 1.0), 0.0
+        try:
+            outs = [run(bids, limit, m0, budget, true_costs=true_costs) for bids in (agents, deviated)]
+        except InfeasibleError:  # the cap is out of reach, or k is pivotal
+            counts["infeasible"] += 1
+            continue
+        for bids, out in zip((agents, deviated), outs):
+            excl = out.exclusion_objectives[k]
+            want = excl - true_social_cost(out, bids, k, true_costs[k], gamma, budget)
+            assert abs(out.utilities[k] - want) <= 1e-9 * max(1.0, abs(excl)), (out.utilities[k], want)
+        counts["checked"] += 1
+        counts["cleared_k"] += any(out.mu[k] > 0 for out in outs)
+    assert counts["checked"] >= 500 and counts["cleared_k"] >= 200, counts
+    assert run is run_auction_hard or counts["infeasible"] == 0, counts
 
 
 class TestIncentiveAudit:
@@ -534,21 +551,32 @@ class TestIncentiveAudit:
             incentive_audit(agents, 16.0, m0, budget, trials=0, seed=1)
 
     @pytest.mark.parametrize(
-        "no_agents, trials, gamma",
+        "no_agents, trials, gamma, seed, named",
         [
-            (True, 5, 16.0),
-            (False, 2.5, 16.0),
-            (False, 5, math.nan),
-            (False, 5, math.inf),
-            (False, 5, 0.0),
-            (False, 5, -1.0),
+            (True, 5, 16.0, 1, "agent"),
+            (False, 2.5, 16.0, 1, "trials"),
+            (False, 5, math.nan, 1, "gamma"),
+            (False, 5, math.inf, 1, "gamma"),
+            (False, 5, 0.0, 1, "gamma"),
+            (False, 5, -1.0, 1, "gamma"),
+            (False, 5, 16.0, -1, "seed"),
+            (False, 5, 16.0, 1.5, "seed"),
         ],
-        ids=["no-agents", "fractional-trials", "nan-gamma", "inf-gamma", "zero-gamma", "negative-gamma"],
+        ids=[
+            "no-agents",
+            "fractional-trials",
+            "nan-gamma",
+            "inf-gamma",
+            "zero-gamma",
+            "negative-gamma",
+            "negative-seed",
+            "fractional-seed",
+        ],
     )
-    def test_audit_rejects_bad_inputs(self, no_agents, trials, gamma):
+    def test_audit_rejects_bad_inputs(self, no_agents, trials, gamma, seed, named):
         m0, agents, budget = single_bus_instance()
-        with pytest.raises(GridError):
-            incentive_audit([] if no_agents else agents, gamma, m0, budget, trials=trials, seed=1)
+        with pytest.raises(GridError, match=named):
+            incentive_audit([] if no_agents else agents, gamma, m0, budget, trials=trials, seed=seed)
 
     def test_audit_report_fields(self):
         rng = np.random.default_rng(5)

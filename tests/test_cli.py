@@ -158,7 +158,7 @@ def test_plan_uses_embedded_mode(capsys):
 
 def test_plan_without_mode_anywhere(capsys, tmp_path):
     scn = case_study()
-    bare = scn.with_mode()
+    bare = dataclasses.replace(scn, gamma=None, gamma_bar=None)
     path = tmp_path / "modeless.yaml"
     emit_scenario(bare, path)
     code, out, err = run_cli(capsys, "plan", str(path))
