@@ -39,7 +39,6 @@ from .planner import (
     Allocation,
     CostCurve,
     dual_gamma_iterate,
-    node_fill_cost,
     regulatory_allocation,
     solve_centralized_hard,
     solve_centralized_soft,
@@ -80,7 +79,6 @@ __all__ = [
     "CostCurve",
     "Agent",
     "Allocation",
-    "node_fill_cost",
     "solve_centralized_soft",
     "solve_centralized_hard",
     "dual_gamma_iterate",

@@ -96,6 +96,8 @@ def _externality_payment(excl_obj, base_obj, own_bid_value) -> float:
 
 def _outcome(bids, base: Allocation, excl_objs, gamma: float, mode: str, true_costs) -> AuctionOutcome:
     """Pay each agent its externality against ``base`` and, given true costs, its utility."""
+    if true_costs is not None and len(true_costs) != len(bids):
+        raise GridError(f"true_costs has {len(true_costs)} curves for {len(bids)} bids")
     payments = tuple(
         _externality_payment(excl, base.objective, ag.curve.value(q))
         for excl, ag, q in zip(excl_objs, bids, base.mu)
@@ -154,12 +156,12 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     pivotal = [k for k, cost in enumerate(excl_costs) if cost is None]
     if pivotal:
         raise InfeasibleError(
-            "the cap cannot be met if any of these pivotal agents abstains: "
-            + ", ".join(f"{bids[k].id!r} (bus {bids[k].bus})" for k in pivotal),
+            lambda name: "the cap cannot be met if any of these pivotal agents abstains: "
+            + ", ".join(f"{bids[k].id!r} (bus {name(bids[k].bus)})" for k in pivotal),
             bus=bids[pivotal[0]].bus,
         )
     # The plan's objective is 0.0 + its cost, so it equals the cost exactly.
-    return _outcome(bids, base, excl_costs, market._multiplier(level)[0], "hard", true_costs)
+    return _outcome(bids, base, excl_costs, market._multiplier(level), "hard", true_costs)
 
 
 # ---------------------------------------------------------------------------

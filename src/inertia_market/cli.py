@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -92,6 +93,15 @@ def _require_agents(scn):
         raise ScenarioError("this command needs at least one agent in the scenario")
 
 
+@contextmanager
+def _bus_labels(scn):
+    """Name the buses of an infeasibility raised inside by the scenario's labels, not indices."""
+    try:
+        yield
+    except InfeasibleError as exc:
+        raise InfeasibleError(exc.describe(scn.bus_labels.__getitem__), bus=exc.bus) from None
+
+
 def _cmd_validate(args) -> int:
     scn = parse_scenario(args.scenario)
     grid_part = f", grid with {scn.grid.n} buses" if scn.grid is not None else ""
@@ -150,10 +160,12 @@ def _cmd_plan(args) -> int:
     if args.regulatory:
         if gamma_bar is None:
             raise ScenarioError("--regulatory needs --gamma-bar")
-        alloc = regulatory_allocation(gamma_bar, scn.m0, agents, scn.budget)
+        with _bus_labels(scn):
+            alloc = regulatory_allocation(gamma_bar, scn.m0, agents, scn.budget)
         title = f"regulatory plan (gamma_bar={gamma_bar:g})"
     elif gamma_bar is not None:
-        alloc = solve_centralized_hard(gamma_bar, scn.m0, agents, scn.budget)
+        with _bus_labels(scn):
+            alloc = solve_centralized_hard(gamma_bar, scn.m0, agents, scn.budget)
         title = f"centralized plan (gamma_bar={gamma_bar:g})"
     else:
         alloc = solve_centralized_soft(gamma, scn.m0, agents, scn.budget)
@@ -169,7 +181,8 @@ def _cmd_auction(args) -> int:
     bids = scn.market_agents(use="bid")
     costs = [ag.curve for ag in scn.market_agents(use="cost")]
     if gamma_bar is not None:
-        outcome = run_auction_hard(bids, gamma_bar, scn.m0, scn.budget, true_costs=costs)
+        with _bus_labels(scn):
+            outcome = run_auction_hard(bids, gamma_bar, scn.m0, scn.budget, true_costs=costs)
         title = f"auction (gamma_bar={gamma_bar:g}, gamma*={outcome.gamma:.6g})"
     else:
         outcome = run_auction(bids, gamma, scn.m0, scn.budget, true_costs=costs)
@@ -192,9 +205,10 @@ def _cmd_compare(args, scn=None) -> int:
     bids = scn.market_agents(use="bid")
     costs = [ag.curve for ag in agents_cost]
 
-    central = solve_centralized_hard(gamma_bar, scn.m0, agents_cost, scn.budget)
-    outcome = run_auction_hard(bids, gamma_bar, scn.m0, scn.budget, true_costs=costs)
-    regulatory = regulatory_allocation(gamma_bar, scn.m0, agents_cost, scn.budget)
+    with _bus_labels(scn):
+        central = solve_centralized_hard(gamma_bar, scn.m0, agents_cost, scn.budget)
+        outcome = run_auction_hard(bids, gamma_bar, scn.m0, scn.budget, true_costs=costs)
+        regulatory = regulatory_allocation(gamma_bar, scn.m0, agents_cost, scn.budget)
 
     reports = {
         "centralized": make_report(scn, central, title=f"centralized (gamma_bar={gamma_bar:g})"),

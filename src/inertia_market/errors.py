@@ -19,10 +19,17 @@ class ScenarioError(InertiaMarketError):
 
 
 class InfeasibleError(InertiaMarketError):
-    """A performance target cannot be met with the available capacity."""
+    """A performance target cannot be met with the available capacity.
+
+    ``bus`` is the 0-based index of the blocking bus. ``message`` is a
+    string, or a function ``message(name)`` that names bus i ``name(i)``.
+    The error's text names buses by index; ``describe(name)`` renders it
+    with other names, such as a scenario's bus labels.
+    """
 
     def __init__(self, message, bus=None):
-        super().__init__(message)
+        self.describe = message if callable(message) else lambda name: message
+        super().__init__(self.describe(str))
         self.bus = bus
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "CostCurve",
     "Agent",
     "Allocation",
-    "node_fill_cost",
     "solve_centralized_soft",
     "solve_centralized_hard",
     "dual_gamma_iterate",
@@ -124,22 +123,28 @@ class Allocation:
 
 
 class _BusSupply:
-    """Ascending-price merge of the curves offered at one bus."""
+    """One bus's supply: the ascending-price merge of the curves offered there.
 
-    def __init__(self, offers):
-        # offers: list of (agent_position, CostCurve), position local to the bus
+    ``offers`` are (agent index, CostCurve) pairs, and ``m0`` is the bus's
+    residual inertia. ``knots`` and ``knot_costs`` are the cumulative width
+    and cost at each price tier's end; ``starts`` are the levels at which
+    the tiers begin, and ``reach`` the level the whole supply lifts the bus
+    to.
+    """
+
+    def __init__(self, m0: float, offers):
+        self.m0, self.offers = m0, offers
         entries = []
-        for pos, curve in offers:
+        for k, curve in offers:
             for width, price in curve.segments:
-                entries.append((price, pos, width))
+                entries.append((price, k, width))
         entries.sort(key=lambda t: t[0])
-        self.tiers = []  # (price, [(pos, width), ...]) grouped by equal price
-        for price, pos, width in entries:
+        self.tiers = []  # (price, [(agent index, width), ...]) grouped by equal price
+        for price, k, width in entries:
             if self.tiers and self.tiers[-1][0] == price:
-                self.tiers[-1][1].append((pos, width))
+                self.tiers[-1][1].append((k, width))
             else:
-                self.tiers.append((price, [(pos, width)]))
-        self.n_offers = len(offers)
+                self.tiers.append((price, [(k, width)]))
         self.knots = [0.0]
         self.knot_costs = [0.0]
         for price, members in self.tiers:
@@ -147,6 +152,14 @@ class _BusSupply:
             self.knots.append(self.knots[-1] + width)
             self.knot_costs.append(self.knot_costs[-1] + width * price)
         self.capacity = self.knots[-1]
+        self.reach = m0 + self.capacity
+        self.starts = [m0 + knot for knot in self.knots[:-1]]
+        self.prices = [price for price, _ in self.tiers]
+
+    def price_at(self, x: float) -> float:
+        """Marginal price of lifting the bus at level ``x``."""
+        t = bisect_right(self.starts, x) - 1
+        return self.prices[t] if t >= 0 else 0.0
 
     def cost_at(self, q: float) -> float:
         if q <= 0:
@@ -156,27 +169,27 @@ class _BusSupply:
             return self.knot_costs[-1]
         return self.knot_costs[j] + (q - self.knots[j]) * self.tiers[j][0]
 
-    def fill(self, q: float):
-        """Minimum-cost fills summing to ``q`` with the equal-split tie rule.
+    def fill(self, need: float):
+        """Cost and per-agent fills of the cheapest ``need``, clamped to capacity.
 
         Cheaper tiers are consumed first; inside a tier the marginal
         quantity splits equally over the agents offering at that price,
         clipping at their remaining widths and re-splitting what the clip
-        frees up.
+        frees up. Fills are keyed by agent index, in offer order.
         """
-        fills = [0.0] * self.n_offers
+        fills = dict.fromkeys((k for k, _ in self.offers), 0.0)
         cost = 0.0
-        remaining = q
+        remaining = min(need, self.capacity)
         for price, members in self.tiers:
             if remaining <= 0:
                 break
             avail = {}
-            for pos, width in members:
-                avail[pos] = avail.get(pos, 0.0) + width
+            for k, width in members:
+                avail[k] = avail.get(k, 0.0) + width
             tier_total = sum(avail.values())
             if remaining >= tier_total:
-                for pos, width in avail.items():
-                    fills[pos] += width
+                for k, width in avail.items():
+                    fills[k] += width
                 cost += tier_total * price
                 remaining -= tier_total
                 continue
@@ -184,46 +197,26 @@ class _BusSupply:
             r = remaining
             while active and r > 0:
                 share = r / len(active)
-                clipped = [pos for pos, a in active.items() if a <= share]
+                clipped = [k for k, a in active.items() if a <= share]
                 if not clipped:
-                    for pos in active:
-                        fills[pos] += share
+                    for k in active:
+                        fills[k] += share
                     break
-                for pos in clipped:
-                    a = active.pop(pos)
-                    fills[pos] += a
+                for k in clipped:
+                    a = active.pop(k)
+                    fills[k] += a
                     r -= a
             cost += remaining * price
             remaining = 0.0
-        if remaining > 1e-9 * max(1.0, q):
-            raise InfeasibleError(
-                f"required fill {q:.6g} exceeds bus capacity {self.capacity:.6g}"
-            )
         return cost, fills
 
-
-def node_fill_cost(agents_at_bus, target: float, m0_i: float):
-    """Cheapest fills at one bus lifting inertia from ``m0_i`` to ``target``.
-
-    Returns (cost, per-agent fills) in the order of ``agents_at_bus``.
-    Raises :class:`InfeasibleError` when the deficit exceeds the combined
-    capacity at the bus.
-    """
-    if target < 0:
-        raise GridError("target level must be nonnegative")
-    supply = _BusSupply([(k, ag.curve) for k, ag in enumerate(agents_at_bus)])
-    return supply.fill(max(0.0, target - m0_i))
-
-
-def _price_at(starts, prices, x):
-    """Marginal price at level ``x`` of a bus whose tiers begin at ``starts``."""
-    t = bisect_right(starts, x) - 1
-    return prices[t] if t >= 0 else 0.0
-
-
-def _tier_starts(m0_i, supply):
-    """Levels at which a bus's supply tiers begin, and the tiers' prices."""
-    return [m0_i + knot for knot in supply.knots[:-1]], [price for price, _ in supply.tiers]
+    def swapped(self, k: int, curve=None) -> "_BusSupply":
+        """This bus's supply with agent ``k`` bidding ``curve``, or abstaining for ``curve=None``."""
+        if curve is None:
+            offers = [(j, c) for j, c in self.offers if j != k]
+        else:
+            offers = [(j, curve if j == k else c) for j, c in self.offers]
+        return _BusSupply(self.m0, offers)
 
 
 def _beyond(level, reach):
@@ -255,19 +248,16 @@ class _Market:
         if not all(0 < x < math.inf for x in m0):  # NaN fails both comparisons
             raise GridError("residual inertia must be positive and finite at every bus")
         self.m0, self.agents, self.budget = m0, agents, budget
-        self.by_bus = [[] for _ in range(n)]  # (agent index, agent) per bus, absentees left out
+        offers = [[] for _ in range(n)]  # (agent index, curve) per bus, absentees left out
         for k, ag in enumerate(agents):
             if ag.bus < 0 or ag.bus >= n:
                 raise GridError(f"agent {ag.id!r}: bus index {ag.bus} out of range")
             if k not in excluded:
-                self.by_bus[ag.bus].append((k, ag))
-        self.supplies = [
-            _BusSupply([(p, ag.curve) for p, (_, ag) in enumerate(self.by_bus[i])]) for i in range(n)
-        ]
-        reach = [m0[i] + self.supplies[i].capacity for i in range(n)]
+                offers[ag.bus].append((k, ag.curve))
+        self.supplies = [_BusSupply(m0[i], offers[i]) for i in range(n)]
         self.lo = min(m0)
-        self._cap_bus = min(range(n), key=reach.__getitem__)
-        self.cap = reach[self._cap_bus]
+        self._cap_bus = min(range(n), key=lambda i: self.supplies[i].reach)
+        self.cap = self.supplies[self._cap_bus].reach
         self._curve = None
 
     def _sweep(self):
@@ -278,9 +268,9 @@ class _Market:
         if self._curve is not None:
             return self._curve
         events = []
-        for m0_i, supply in zip(self.m0, self.supplies):
+        for supply in self.supplies:
             prev = 0.0
-            for level, price in zip(*_tier_starts(m0_i, supply)):
+            for level, price in zip(supply.starts, supply.prices):
                 if level >= self.cap:
                     break
                 events.append((level, price - prev))
@@ -311,7 +301,7 @@ class _Market:
         ``swap = (b, supply)`` replaces bus b's supply with any supply no
         larger than bus b's own, up to rounding, as an abstention or a
         re-priced bid at bus b does. The reach cap becomes
-        ``min(cap, m0_b + supply.capacity)``: no other bus's reach moves,
+        ``min(cap, supply.reach)``: no other bus's reach moves,
         and re-summing the same widths in another order can come out an
         ulp above the original. A supply larger beyond rounding raises
         :class:`ContractError`, since the sweep stops at the cap. Slopes
@@ -326,21 +316,19 @@ class _Market:
         extra = []  # breakpoints of the swapped-in supply
         if swap is not None:
             b, supply = swap
-            m0_b = self.m0[b]
-            own = self.supplies[b].capacity
-            if supply.capacity - own > 1e-9 * max(1.0, own):
+            old = self.supplies[b]
+            if supply.capacity - old.capacity > 1e-9 * max(1.0, old.capacity):
                 raise ContractError(
-                    f"swapped-in supply {supply.capacity:.17g} exceeds bus {b}'s own {own:.17g}"
+                    f"swapped-in supply {supply.capacity:.17g} exceeds bus {b}'s own {old.capacity:.17g}"
                 )
-            top = min(self.cap, m0_b + supply.capacity)
-            old_starts, old_prices = _tier_starts(m0_b, self.supplies[b])
-            extra, new_prices = _tier_starts(m0_b, supply)
+            top = min(self.cap, supply.reach)
+            extra = supply.starts
         last = len(slopes) - 1
 
         def slope_at(x):
             s = slopes[min(bisect_right(pts, x) - 1, last)]
             if swap is not None:
-                s += _price_at(extra, new_prices, x) - _price_at(old_starts, old_prices, x)
+                s += supply.price_at(x) - old.price_at(x)
             return s
 
         def piece_end(j):
@@ -379,8 +367,8 @@ class _Market:
         level = float(expand_performance_constraint(gamma_bar, self.budget, len(self.m0)))
         if _beyond(level, self.cap):
             raise InfeasibleError(
-                f"performance cap needs inertia level {level:.6g} but bus {self._cap_bus} "
-                f"can reach at most {self.cap:.6g}",
+                lambda name: f"performance cap needs inertia level {level:.6g} but bus "
+                f"{name(self._cap_bus)} can reach at most {self.cap:.6g}",
                 bus=self._cap_bus,
             )
         return level
@@ -392,13 +380,12 @@ class _Market:
         m = list(self.m0)
         cost = 0.0
         self.bus_costs = [0.0] * len(self.m0)
-        for i, members in enumerate(self.by_bus):
-            need = level - self.m0[i]
-            if need <= 0 or not members:
+        for i, supply in enumerate(self.supplies):
+            if level <= supply.m0:
                 continue
-            self.bus_costs[i], fills = self.supplies[i].fill(min(need, self.supplies[i].capacity))
+            self.bus_costs[i], fills = supply.fill(level - supply.m0)
             cost += self.bus_costs[i]
-            for (k, _), f in zip(members, fills):
+            for k, f in fills.items():
                 mu[k] = f
                 m[i] += f
         gamma_term = gamma * worst_case_metric(m, self.budget).gamma if gamma > 0 else 0.0
@@ -415,27 +402,11 @@ class _Market:
     def solve(self, gamma: float) -> Allocation:
         return self.fill(self.level(self.weight(gamma)), gamma)
 
-    def _agent_fill(self, k: int, supply, need: float) -> float:
-        """Agent ``k``'s share when ``supply``, its bus's offers in bus order, fills ``need``."""
-        if need <= 0:
-            return 0.0
-        pos = [j for j, _ in self.by_bus[self.agents[k].bus]].index(k)
-        return supply.fill(min(need, supply.capacity))[1][pos]
-
     def optimum(self, k: int, weight: float):
         """Optimal trade-off objective and agent ``k``'s quantity in that plan."""
         level = self.level(weight)
-        b = self.agents[k].bus
-        return weight / level + self.cost(level), self._agent_fill(k, self.supplies[b], level - self.m0[b])
-
-    def _swapped_supply(self, k: int, curve=None):
-        """Agent ``k``'s bus and its supply with k bidding ``curve``, or without k for ``curve=None``."""
-        b = self.agents[k].bus
-        if curve is None:
-            offers = [ag.curve for j, ag in self.by_bus[b] if j != k]
-        else:
-            offers = [curve if j == k else ag.curve for j, ag in self.by_bus[b]]
-        return b, _BusSupply(list(enumerate(offers)))
+        supply = self.supplies[self.agents[k].bus]
+        return weight / level + self.cost(level), supply.fill(level - supply.m0)[1][k]
 
     def swap_optimum(self, k: int, weight: float, curve=None):
         """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
@@ -443,34 +414,36 @@ class _Market:
         ``curve=None`` means agent k abstains (quantity 0). Either way only
         k's bus changes, so this is one level search on this market's sweep.
         """
-        b, supply = self._swapped_supply(k, curve)
+        b = self.agents[k].bus
+        supply = self.supplies[b].swapped(k, curve)
         level = self.level(weight, swap=(b, supply))
-        q = level - self.m0[b]
+        q = level - supply.m0
         objective = weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
-        return objective, 0.0 if curve is None else self._agent_fill(k, supply, q)
+        return objective, 0.0 if curve is None else supply.fill(q)[1][k]
 
     def capped_exclusion_cost(self, k: int, level: float):
         """Cost at ``level``, after ``fill(level)``, without agent ``k``; None if k is pivotal.
 
         Re-fills k's bus alone and sums in ``fill``'s order: a re-solve's cost to the bit.
         """
-        b, supply = self._swapped_supply(k)
-        if _beyond(level, self.m0[b] + supply.capacity):
+        b = self.agents[k].bus
+        supply = self.supplies[b].swapped(k)
+        if _beyond(level, supply.reach):
             return None
-        own = supply.fill(min(level - self.m0[b], supply.capacity))[0]
+        own = supply.fill(level - supply.m0)[0]
         cost = 0.0
         for i, c in enumerate(self.bus_costs):
             cost += own if i == b else c
         return cost
 
-    def _multiplier(self, level: float):
-        """``dual_gamma_iterate``'s multiplier for the capped ``level``, and the level it fills to."""
+    def _multiplier(self, level: float) -> float:
+        """``dual_gamma_iterate``'s multiplier for the capped ``level``."""
         # The piece ending at L: bisect_left puts a level on a breakpoint into the piece to its left.
         pts, slopes, _ = self._sweep()
         j = min(bisect_left(pts, level), len(slopes)) - 1
         if j < 0:
-            return 0.0, self.lo
-        return level * level * slopes[j] / self.budget.pi_tot, level
+            return 0.0
+        return level * level * slopes[j] / self.budget.pi_tot
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -509,7 +482,8 @@ def dual_gamma_iterate(gamma_bar, m0, agents, budget: DisturbanceBudget):
     the cap is slack at m0), and the capped plan.
     """
     market = _Market(m0, agents, budget)
-    gamma, level = market._multiplier(market.required_level(gamma_bar))
+    level = market.required_level(gamma_bar)
+    gamma = market._multiplier(level)
     return gamma, market.fill(level, gamma)
 
 
@@ -524,14 +498,14 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
     mu = [0.0] * len(agents)
     m = list(market.m0)
     cost = 0.0
-    for i, members in enumerate(market.by_bus):
-        deficit = level - market.m0[i]
-        if deficit <= 0 or not members:
+    for i, supply in enumerate(market.supplies):
+        deficit = level - supply.m0
+        if deficit <= 0 or not supply.offers:
             continue
-        total_cap = sum(ag.cap for _, ag in members)
-        for k, ag in members:
-            share = deficit * ag.cap / total_cap
+        total_cap = sum(curve.cap for _, curve in supply.offers)
+        for k, curve in supply.offers:
+            share = deficit * curve.cap / total_cap
             mu[k] = share
             m[i] += share
-            cost += ag.curve.value(share)
+            cost += curve.value(share)
     return Allocation(mu=tuple(mu), m=tuple(m), level=level, objective_parts=(0.0, float(cost)))

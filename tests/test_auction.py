@@ -105,11 +105,13 @@ def assert_matches_resolve_oracle(bids, gamma, m0, budget):
 class TestSweepPaymentsMatchResolves:
     def test_random_markets(self):
         rng = np.random.default_rng(101)
-        for trial in range(300):
-            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if trial % 2 else None
-            m0, agents, budget = random_market(rng, max_buses=5, max_agents=10, price_grid=grid)
-            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
-            assert_matches_resolve_oracle(agents, gamma, m0, budget)
+        # The second shape crowds up to 40 agents onto one or two buses.
+        for max_buses, max_agents, draws in ((5, 10, 300), (2, 40, 60)):
+            for trial in range(draws):
+                grid = (0.0, 0.5, 1.0, 2.0, 5.0) if trial % 2 else None
+                m0, agents, budget = random_market(rng, max_buses, max_agents, price_grid=grid)
+                gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+                assert_matches_resolve_oracle(agents, gamma, m0, budget)
 
     def test_lone_agent_whose_abstention_sets_the_reach_cap(self):
         agents = [
@@ -363,6 +365,11 @@ class TestCappedPaymentsMatchResolves:
                 outcomes["unpaid"] += sum(q == 0.0 for q in out.mu)
         # every branch is exercised many times
         assert min(outcomes.values()) > 100, outcomes
+        for draw in range(60):  # dense buses: up to 40 agents on one or two
+            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=2, max_agents=40, price_grid=grid)
+            gamma_bar = worst_case_metric(m0, budget).gamma * rng.uniform(0.3, 1.2)
+            assert_capped_matches_oracle(agents, gamma_bar, m0, budget)
 
     def test_pivotal_agents(self):
         agents = [
@@ -507,6 +514,14 @@ def test_utility_is_exclusion_objective_minus_true_social_cost(run):
     assert run is run_auction_hard or counts["infeasible"] == 0, counts
 
 
+@pytest.mark.parametrize("run, limit", [(run_auction, 16.0), (run_auction_hard, 0.5)], ids=["soft", "hard"])
+@pytest.mark.parametrize("n_costs", [1, 3], ids=["short", "long"])
+def test_true_costs_of_the_wrong_length_rejected(run, limit, n_costs):
+    m0, agents, budget = single_bus_instance()
+    with pytest.raises(GridError, match=f"true_costs has {n_costs} curves for 2 bids"):
+        run(agents, limit, m0, budget, true_costs=[agents[0].curve] * n_costs)
+
+
 class TestIncentiveAudit:
     def test_case_study_audit_clean(self):
         scn = case_study()
@@ -610,11 +625,13 @@ def assert_audit_matches_oracle(agents, gamma, m0, budget, trials, seed):
 class TestAuditMatchesResolveOracle:
     def test_random_markets(self):
         rng = np.random.default_rng(211)
-        for draw in range(300):
-            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
-            m0, agents, budget = random_market(rng, max_buses=4, max_agents=6, price_grid=grid)
-            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
-            assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
+        # The second shape crowds up to 40 agents onto one or two buses.
+        for max_buses, max_agents, draws in ((4, 6, 300), (2, 40, 60)):
+            for draw in range(draws):
+                grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
+                m0, agents, budget = random_market(rng, max_buses, max_agents, price_grid=grid)
+                gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+                assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
 
     def test_one_bus_one_agent(self):
         agents = [Agent("solo", 0, CostCurve(((1.5, 0.5), (2.0, 4.0))))]
@@ -664,9 +681,9 @@ class TestAuditMatchesResolveOracle:
                 ag if j == k else Agent(ag.id, 0, random_convex_curve(rng)) for j, ag in enumerate(agents)
             ]
             deviation = deviation_curve(rng, agents[k].curve)
-        own = _BusSupply(list(enumerate(ag.curve for ag in bids))).capacity
-        swapped = _BusSupply(list(enumerate(deviation if j == k else ag.curve for j, ag in enumerate(bids))))
-        assert k == 2 and swapped.capacity == math.nextafter(own, math.inf)
+        own = _BusSupply(m0[0], list(enumerate(ag.curve for ag in bids)))
+        swapped = own.swapped(k, deviation)
+        assert k == 2 and swapped.capacity == math.nextafter(own.capacity, math.inf)
         assert_audit_matches_oracle(agents, gamma, m0, budget, trials=7, seed=seed)
 
     def test_colocated_partners_at_one_price(self):

@@ -303,6 +303,30 @@ def test_infeasible_cap_exit_one(capsys):
     assert "reach" in err
 
 
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_infeasible_cap_names_the_bus_label(capsys, command):
+    # The weakest reach is at bus index 3, labelled '5'; bus '3' is a hub without inertia state.
+    code, out, err = run_cli(capsys, command, CASE_FILE, "--gamma-bar", "0.05")
+    assert code == 1
+    assert "but bus 5 can reach at most 35.3801" in err
+
+
+def test_pivotal_agent_names_the_bus_label(capsys, tmp_path):
+    doc = {
+        "format_version": 1,
+        "name": "pivotal",
+        "pi_tot": 2.0,
+        "gamma_bar": 1.0,
+        "buses": [{"label": "1", "m0": 1.0}, {"label": "2", "m0": 5.0}],
+        "agents": [{"id": "a", "bus": "1", "bid": [{"width": 5.0, "price": 1.0}]}],
+    }
+    path = tmp_path / "pivotal.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, out, err = run_cli(capsys, "auction", str(path))
+    assert code == 1
+    assert err.rstrip().endswith("abstains: 'a' (bus 1)")
+
+
 def test_compare_and_out_files(capsys, tmp_path):
     out_dir = tmp_path / "bundle"
     code, out, _ = run_cli(

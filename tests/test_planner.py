@@ -1,4 +1,4 @@
-"""Breakpoint planner: node fills, trade-off and capped solves, dual link."""
+"""Breakpoint planner: bus fills, trade-off and capped solves, dual link."""
 
 import math
 
@@ -15,7 +15,6 @@ from inertia_market import (
     ScenarioError,
     case_study,
     dual_gamma_iterate,
-    node_fill_cost,
     regulatory_allocation,
     solve_centralized_hard,
     solve_centralized_soft,
@@ -61,6 +60,12 @@ class TestCostCurve:
             CostCurve((segment,))
 
 
+def bus_fill(agents, target, m0_i):
+    """Cost and fills, in ``agents`` order, lifting one bus from ``m0_i`` to ``target``."""
+    cost, fills = _BusSupply(m0_i, list(enumerate(ag.curve for ag in agents))).fill(target - m0_i)
+    return cost, list(fills.values())
+
+
 class TestNodeFillCost:
     def test_bus_two_case_data(self):
         agents = [
@@ -68,7 +73,7 @@ class TestNodeFillCost:
             Agent("2b", 0, CostCurve.linear(5.0, 40.0)),
             Agent("2c", 0, CostCurve.linear(1.0, 60.0)),
         ]
-        cost, fills = node_fill_cost(agents, LEVEL, 12.41408556)
+        cost, fills = bus_fill(agents, LEVEL, 12.41408556)
         np.testing.assert_allclose(fills, [11.0343, 0.0, 11.0343], atol=1e-4)
         assert cost == pytest.approx(22.069, abs=1e-3)
 
@@ -79,7 +84,7 @@ class TestNodeFillCost:
             Agent(f"4{chr(97 + k)}", 0, CostCurve.linear(p, c))
             for k, (p, c) in enumerate(zip(prices, caps))
         ]
-        cost, fills = node_fill_cost(agents, LEVEL, 7.219268219)
+        cost, fills = bus_fill(agents, LEVEL, 7.219268219)
         np.testing.assert_allclose(
             fills, [1.4527, 1.4527, 20.0, 1.4527, 0.0, 1.4527, 1.4527], atol=1e-4
         )
@@ -87,7 +92,7 @@ class TestNodeFillCost:
 
     def test_no_deficit_no_fill(self):
         agents = [Agent("a", 0, CostCurve.linear(1.0, 5.0))]
-        cost, fills = node_fill_cost(agents, 1.0, 2.0)
+        cost, fills = bus_fill(agents, 1.0, 2.0)
         assert cost == 0.0
         assert fills == [0.0]
 
@@ -96,14 +101,15 @@ class TestNodeFillCost:
             Agent("small", 0, CostCurve.linear(2.0, 1.0)),
             Agent("large", 0, CostCurve.linear(2.0, 10.0)),
         ]
-        cost, fills = node_fill_cost(agents, 8.0, 0.0)
+        cost, fills = bus_fill(agents, 8.0, 0.0)
         np.testing.assert_allclose(fills, [1.0, 7.0])
         assert cost == pytest.approx(16.0)
 
     def test_capacity_exceeded(self):
-        agents = [Agent("a", 0, CostCurve.linear(1.0, 2.0))]
-        with pytest.raises(InfeasibleError, match="exceeds"):
-            node_fill_cost(agents, 5.0, 1.0)
+        # A need beyond the bus's capacity fills the whole capacity.
+        supply = _BusSupply(1.0, [(3, CostCurve.linear(1.0, 2.0))])
+        assert supply.reach == 3.0
+        assert supply.fill(4.0) == supply.fill(2.0) == (2.0, {3: 2.0})
 
 
 def single_bus_instance():
@@ -249,6 +255,7 @@ class TestDualGammaIterate:
         gamma_star, alloc = dual_gamma_iterate(5.0, m0, agents, budget)
         assert gamma_star == 0.0
         np.testing.assert_array_equal(alloc.mu, 0.0)
+        assert alloc.level == solve_centralized_hard(5.0, m0, agents, budget).level == 1.0 / 5.0
 
     def test_zero_slope_at_the_level_gives_zero_multiplier(self):
         # Free supply covers the whole gap: C has slope 0 left of L = 2.
@@ -399,12 +406,12 @@ class TestSwapOptimum:
     def test_swapped_supply_larger_than_the_bus_rejected(self):
         agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 2.0))]
         market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
-        larger = _BusSupply([(0, CostCurve.linear(1.0, 2.0 + 1e-6))])
+        larger = _BusSupply(1.0, [(0, CostCurve.linear(1.0, 2.0 + 1e-6))])
         with pytest.raises(ContractError, match="exceeds bus 0"):
             market.level(5.0, swap=(0, larger))
 
     def test_swapped_supply_one_ulp_larger_stops_at_the_cap(self):
         agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 3.0))]
         market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
-        ulp_larger = _BusSupply([(0, CostCurve.linear(1.0, math.nextafter(2.0, math.inf)))])
+        ulp_larger = _BusSupply(1.0, [(0, CostCurve.linear(1.0, math.nextafter(2.0, math.inf)))])
         assert market.level(1e6, swap=(0, ulp_larger)) == market.cap == 3.0
