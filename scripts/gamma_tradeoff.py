@@ -8,6 +8,7 @@ cap lands on the frontier.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,13 +20,23 @@ from inertia_market import (
     worst_case_metric,
 )
 
+from audit_sweep import positive_int  # the sibling script's argparse type
+
+
+def positive_float(text: str) -> float:
+    """A positive finite number, for argparse: anything else is a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scenario", nargs="?", default=None, help="scenario file (default: bundled study)")
-    parser.add_argument("--gamma-min", type=float, default=1.0)
-    parser.add_argument("--gamma-max", type=float, default=1e4)
-    parser.add_argument("--points", type=int, default=25)
+    parser.add_argument("--gamma-min", type=positive_float, default=1.0)
+    parser.add_argument("--gamma-max", type=positive_float, default=1e4)
+    parser.add_argument("--points", type=positive_int, default=25)
     args = parser.parse_args()
 
     scn = parse_scenario(args.scenario) if args.scenario else case_study()

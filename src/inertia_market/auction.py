@@ -15,7 +15,7 @@ value at the cleared quantity. Two clearing objectives are supported:
 * capped mode (``run_auction_hard``): quantities come from the
   minimum-cost solve under the worst-case cap, and abstentions keep the
   cap. The cap fixes the level, so the metric terms cancel out of payments,
-  the externality is a pure cost difference, and an abstention re-fills
+  the externality is a pure cost difference, and an abstention re-prices
   only the abstainer's bus, on the base solve's market. An abstention can
   miss the cap when a provider is indispensable; that is reported as one
   error naming every such provider, never hidden.
@@ -141,7 +141,7 @@ def run_auction_hard(bids, gamma_bar, m0, budget: DisturbanceBudget, true_costs=
     Quantities come from the minimum-cost solve under
     Gamma(m) <= gamma_bar; agent k's payment is its abstention's cost
     increase plus its own bid value. The cap fixes the level, so that
-    abstention re-fills only k's bus, on the base solve's market. The
+    abstention re-prices only k's bus, on the base solve's market. The
     equivalent trade-off multiplier of ``dual_gamma_iterate`` comes from
     the same market and is reported in ``gamma``. When some abstentions
     cannot meet the cap, one :class:`InfeasibleError` names all those

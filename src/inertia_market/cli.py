@@ -193,11 +193,10 @@ def _cmd_auction(args) -> int:
     return 0
 
 
-def _cmd_compare(args, scn=None) -> int:
-    if scn is None:
-        scn = parse_scenario(args.scenario)
+def _compare(scn, gamma_bar, out, write_scenario) -> int:
+    """The regulatory, centralized and market reports on ``scn``, and their CSVs in ``out``."""
     _require_agents(scn)
-    gamma_bar = args.gamma_bar if args.gamma_bar is not None else scn.gamma_bar
+    gamma_bar = gamma_bar if gamma_bar is not None else scn.gamma_bar
     if gamma_bar is None:
         raise ScenarioError("compare needs --gamma-bar (or one embedded in the scenario)")
 
@@ -233,21 +232,24 @@ def _cmd_compare(args, scn=None) -> int:
             reports["regulatory"].summary.total_cost,
         )
     )
-    if args.out is not None:
-        out_dir = Path(args.out)
+    if out is not None:
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, rep in reports.items():
             emit_report(rep, fmt="csv", path=out_dir / f"{name}.csv")
-        if getattr(args, "write_scenario", False):
+        if write_scenario:
             emit_scenario(scn, out_dir / "scenario.yaml")
         print(f"wrote {', '.join(n + '.csv' for n in reports)} to {out_dir}")
     return 0
 
 
+def _cmd_compare(args) -> int:
+    return _compare(parse_scenario(args.scenario), args.gamma_bar, args.out, write_scenario=False)
+
+
 def _cmd_case_study(args) -> int:
-    scn = case_study()
-    ns = argparse.Namespace(gamma_bar=None, out=args.out, write_scenario=True)
-    return _cmd_compare(ns, scn=scn)
+    # The bundled scenario has no file of its own, so its bundle carries a copy.
+    return _compare(case_study(), None, args.out, write_scenario=True)
 
 
 _HANDLERS = {

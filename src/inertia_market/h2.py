@@ -59,9 +59,10 @@ SIGN_MAX_STEPS = 100
 class GramianSolution:
     """Constrained observability Gramian with its achieved residuals.
 
-    ``residual`` is the Frobenius norm of P A + A' P + Q, to be judged
-    against 1e-8 * (||Q|| + ||P|| ||A||); ``constraint_residual`` is
-    ||P @ [1; 0]||, to be judged against 1e-8 * ||P||.
+    ``residual`` is the Frobenius norm of P A + A' P + Q, at most
+    1e-8 * (||Q|| + ||P|| ||A||); ``constraint_residual`` is
+    ||P @ [1; 0]||, at most 1e-8 * ||P||. A solve that misses either
+    bound raises :class:`NumericsError` instead.
     """
 
     P: np.ndarray
@@ -125,7 +126,9 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
     the representative with no energy on the drift mode. The solve deflates
     the drift direction with an orthonormal basis of its complement and
     solves the reduced dense Lyapunov equation, which has a unique solution
-    because the reduced matrix is Hurwitz (see ``_lyapunov``).
+    because the reduced matrix is Hurwitz (see ``_lyapunov``). A solution
+    whose residuals miss the bounds of :class:`GramianSolution` raises
+    :class:`NumericsError`.
     """
     # Loaded here, not at module level: see the module docstring.
     import numpy as np
@@ -174,6 +177,12 @@ def solve_constrained_lyapunov(A, Q) -> GramianSolution:
 
     residual = float(np.linalg.norm(P @ A + A.T @ P + Q))
     constraint_residual = float(np.linalg.norm(P @ v0))
+    p_scale = np.linalg.norm(P)
+    if residual > 1e-8 * (q_scale + p_scale * np.linalg.norm(A)) or constraint_residual > 1e-8 * p_scale:
+        raise NumericsError(
+            f"Gramian residuals too large: ||PA + A'P + Q|| = {residual:.3e}, "
+            f"||P [1; 0]|| = {constraint_residual:.3e}, ||P|| = {p_scale:.3e}"
+        )
     return GramianSolution(P=P, residual=residual, constraint_residual=constraint_residual)
 
 

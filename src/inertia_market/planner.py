@@ -126,29 +126,25 @@ class _BusSupply:
     """One bus's supply: the ascending-price merge of the curves offered there.
 
     ``offers`` are (agent index, CostCurve) pairs, and ``m0`` is the bus's
-    residual inertia. ``knots`` and ``knot_costs`` are the cumulative width
-    and cost at each price tier's end; ``starts`` are the levels at which
-    the tiers begin, and ``reach`` the level the whole supply lifts the bus
-    to.
+    residual inertia. ``tiers`` are (price, {agent index: width}) in
+    ascending price, each agent's segments at one price summed into one
+    width. ``knots`` and ``knot_costs`` are the cumulative width and cost
+    at each tier's end; ``starts`` are the levels at which the tiers
+    begin, and ``reach`` the level the whole supply lifts the bus to.
     """
 
     def __init__(self, m0: float, offers):
         self.m0, self.offers = m0, offers
-        entries = []
+        tiers = {}
         for k, curve in offers:
             for width, price in curve.segments:
-                entries.append((price, k, width))
-        entries.sort(key=lambda t: t[0])
-        self.tiers = []  # (price, [(agent index, width), ...]) grouped by equal price
-        for price, k, width in entries:
-            if self.tiers and self.tiers[-1][0] == price:
-                self.tiers[-1][1].append((k, width))
-            else:
-                self.tiers.append((price, [(k, width)]))
+                members = tiers.setdefault(price, {})
+                members[k] = members.get(k, 0.0) + width
+        self.tiers = sorted(tiers.items())  # prices are distinct keys, so no dict is compared
         self.knots = [0.0]
         self.knot_costs = [0.0]
         for price, members in self.tiers:
-            width = sum(w for _, w in members)
+            width = sum(members.values())
             self.knots.append(self.knots[-1] + width)
             self.knot_costs.append(self.knot_costs[-1] + width * price)
         self.capacity = self.knots[-1]
@@ -162,6 +158,7 @@ class _BusSupply:
         return self.prices[t] if t >= 0 else 0.0
 
     def cost_at(self, q: float) -> float:
+        """Cost of the cheapest ``q``, clamped to capacity: the bus's only cost formula."""
         if q <= 0:
             return 0.0
         j = bisect_right(self.knots, q) - 1
@@ -169,46 +166,34 @@ class _BusSupply:
             return self.knot_costs[-1]
         return self.knot_costs[j] + (q - self.knots[j]) * self.tiers[j][0]
 
-    def fill(self, need: float):
-        """Cost and per-agent fills of the cheapest ``need``, clamped to capacity.
+    def fill(self, need: float) -> dict:
+        """Per-agent fills of the cheapest ``need``, clamped to capacity; its cost is ``cost_at(need)``.
 
-        Cheaper tiers are consumed first; inside a tier the marginal
-        quantity splits equally over the agents offering at that price,
-        clipping at their remaining widths and re-splitting what the clip
-        frees up. Fills are keyed by agent index, in offer order.
+        Tiers below ``need`` fill whole. The tier it ends in splits its
+        remainder equally over its agents, clipped at their widths: in
+        ascending width, each agent takes its whole width while that is
+        no more than an equal share of what is left, and the rest take
+        that share. Fills are keyed by agent index, in offer order.
         """
         fills = dict.fromkeys((k for k, _ in self.offers), 0.0)
-        cost = 0.0
-        remaining = min(need, self.capacity)
-        for price, members in self.tiers:
-            if remaining <= 0:
-                break
-            avail = {}
-            for k, width in members:
-                avail[k] = avail.get(k, 0.0) + width
-            tier_total = sum(avail.values())
-            if remaining >= tier_total:
-                for k, width in avail.items():
-                    fills[k] += width
-                cost += tier_total * price
-                remaining -= tier_total
-                continue
-            active = dict(avail)
-            r = remaining
-            while active and r > 0:
-                share = r / len(active)
-                clipped = [k for k, a in active.items() if a <= share]
-                if not clipped:
-                    for k in active:
+        if need <= 0:
+            return fills
+        j = bisect_right(self.knots, need) - 1
+        for _, members in self.tiers[:j]:
+            for k, width in members.items():
+                fills[k] += width
+        if j < len(self.tiers):
+            r = need - self.knots[j]
+            split = sorted(self.tiers[j][1].items(), key=lambda t: t[1])
+            for i, (k, width) in enumerate(split):
+                share = r / (len(split) - i)
+                if width > share:
+                    for k, _ in split[i:]:
                         fills[k] += share
                     break
-                for k in clipped:
-                    a = active.pop(k)
-                    fills[k] += a
-                    r -= a
-            cost += remaining * price
-            remaining = 0.0
-        return cost, fills
+                fills[k] += width
+                r -= width
+        return fills
 
     def swapped(self, k: int, curve=None) -> "_BusSupply":
         """This bus's supply with agent ``k`` bidding ``curve``, or abstaining for ``curve=None``."""
@@ -237,7 +222,8 @@ class _Market:
     The same arrays price any change to one agent's bid that does not
     enlarge its bus's supply, an abstention or a re-priced bid: it changes
     C only through that bus's own supply. A capped abstention keeps the
-    level, so it re-fills that bus alone and re-sums ``fill``'s bus costs.
+    level, so it re-prices that bus's cost alone and re-sums ``fill``'s
+    bus costs.
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
@@ -338,16 +324,13 @@ class _Market:
             a = max(pts[j], extra[t - 1]) if t else pts[j]
             return r, 0.5 * (a + r)
 
+        def rises(j):
+            r, mid = piece_end(j)
+            return slope_at(mid) >= weight / (r * r)
+
         # Smallest piece whose right end has nonnegative derivative.
         n_pieces = bisect_left(pts, top)
-        first, past = 0, n_pieces
-        while first < past:
-            j = (first + past) // 2
-            r, mid = piece_end(j)
-            if slope_at(mid) >= weight / (r * r):
-                past = j
-            else:
-                first = j + 1
+        first = bisect_left(range(n_pieces), True, key=rises)
         if first == n_pieces:
             return top
         a = pts[first]
@@ -364,7 +347,7 @@ class _Market:
 
         Raises :class:`InfeasibleError` naming the bus that cannot reach it.
         """
-        level = float(expand_performance_constraint(gamma_bar, self.budget, len(self.m0)))
+        level = float(expand_performance_constraint(gamma_bar, self.budget))
         if _beyond(level, self.cap):
             raise InfeasibleError(
                 lambda name: f"performance cap needs inertia level {level:.6g} but bus "
@@ -374,7 +357,10 @@ class _Market:
         return level
 
     def fill(self, level: float, gamma: float = 0.0) -> Allocation:
-        """Cheapest plan lifting every bus below ``level`` to it (or to its reach); keeps ``bus_costs``."""
+        """Cheapest plan lifting every bus below ``level`` to it (or to its reach).
+
+        Keeps ``bus_costs``, each bus's ``cost_at`` its need, summed in bus order.
+        """
         level = float(level)
         mu = [0.0] * len(self.agents)
         m = list(self.m0)
@@ -383,9 +369,10 @@ class _Market:
         for i, supply in enumerate(self.supplies):
             if level <= supply.m0:
                 continue
-            self.bus_costs[i], fills = supply.fill(level - supply.m0)
+            need = level - supply.m0
+            self.bus_costs[i] = supply.cost_at(need)
             cost += self.bus_costs[i]
-            for k, f in fills.items():
+            for k, f in supply.fill(need).items():
                 mu[k] = f
                 m[i] += f
         gamma_term = gamma * worst_case_metric(m, self.budget).gamma if gamma > 0 else 0.0
@@ -406,7 +393,7 @@ class _Market:
         """Optimal trade-off objective and agent ``k``'s quantity in that plan."""
         level = self.level(weight)
         supply = self.supplies[self.agents[k].bus]
-        return weight / level + self.cost(level), supply.fill(level - supply.m0)[1][k]
+        return weight / level + self.cost(level), supply.fill(level - supply.m0)[k]
 
     def swap_optimum(self, k: int, weight: float, curve=None):
         """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
@@ -419,18 +406,19 @@ class _Market:
         level = self.level(weight, swap=(b, supply))
         q = level - supply.m0
         objective = weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
-        return objective, 0.0 if curve is None else supply.fill(q)[1][k]
+        return objective, 0.0 if curve is None else supply.fill(q)[k]
 
     def capped_exclusion_cost(self, k: int, level: float):
         """Cost at ``level``, after ``fill(level)``, without agent ``k``; None if k is pivotal.
 
-        Re-fills k's bus alone and sums in ``fill``'s order: a re-solve's cost to the bit.
+        Re-prices k's bus alone with one ``cost_at`` and sums in ``fill``'s
+        order: a re-solve's cost to the bit.
         """
         b = self.agents[k].bus
         supply = self.supplies[b].swapped(k)
         if _beyond(level, supply.reach):
             return None
-        own = supply.fill(level - supply.m0)[0]
+        own = supply.cost_at(level - supply.m0)
         cost = 0.0
         for i, c in enumerate(self.bus_costs):
             cost += own if i == b else c

@@ -67,7 +67,7 @@ def worst_case_metric(m, budget: DisturbanceBudget) -> WorstCase:
     return WorstCase(gamma=gamma, rho=rho, pi_star=tuple(pi_star), argmax_bus=i_star)
 
 
-def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget, n: int) -> float:
+def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget) -> float:
     """Uniform inertia floor equivalent to the cap Gamma(m) <= gamma_bar.
 
     The vertex expansion of the worst-case constraint is pi_tot <=
@@ -77,6 +77,4 @@ def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget, n
     """
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise GridError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
-    if n < 1:
-        raise GridError("dimension must be at least 1")
     return budget.pi_tot / gamma_bar

@@ -15,7 +15,7 @@ A scenario is a single YAML document (see docs/scenario_format.md):
       - id: 2a
         bus: '2'
         bid:  [{width: 20.0, price: 1.0}, ...]
-        cost: [{width: 20.0, price: 1.0}, ...]   # optional true costs
+        cost: [{width: 20.0, price: 1.0}, ...]   # optional true costs; absent or null: the bid
     grid:                         # optional topology for state-space demos
       illustrative: true
       buses: [{label: '1', m0: 37.24, d: 1.0}, ...]
@@ -206,7 +206,7 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
         if "bid" not in entry:
             raise ScenarioError(f"{where}: missing bid curve")
         bid = _parse_curve(entry["bid"], f"{where}.bid")
-        cost = _parse_curve(entry["cost"], f"{where}.cost") if entry.get("cost") else None
+        cost = _parse_curve(entry["cost"], f"{where}.cost") if entry.get("cost") is not None else None
         agents.append(ScenarioAgent(id=agent_id, bus=bus, bid=bid, cost=cost))
 
     grid = None

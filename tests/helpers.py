@@ -10,7 +10,10 @@ multiplier oracle bisects on trade-off solves instead of reading the
 fill-cost slope, and the Lyapunov oracle solves the deflated equation
 with scipy's Bartels-Stewart solver instead of the package's sign
 iteration. The audit oracle clears each trial's truthful bid, deviation
-and abstention as three separate markets instead of swaps on one.
+and abstention as three separate markets instead of swaps on one. The
+bus-fill oracle adds up each tier's cost as it fills and splits a tie by
+clipping and re-splitting until no agent clips, instead of reading the
+cumulative knots and splitting in one ascending-width pass.
 """
 
 from __future__ import annotations
@@ -168,6 +171,57 @@ def fill_cost_knots(m0_i, agents_at_bus):
         levels.append(levels[-1] + w)
         costs.append(costs[-1] + w * p)
     return np.asarray(levels), np.asarray(costs)
+
+
+def bus_fill_resplit_oracle(offers, need):
+    """Cost and per-agent fills of the cheapest ``need`` at one bus, clamped to capacity.
+
+    ``offers`` are (agent index, CostCurve) pairs; fills are keyed by agent
+    index in offer order. Tiers of equal price fill in ascending price with
+    a running subtraction. In the tier where ``need`` ends, the remainder
+    splits equally over the tier's agents; every agent whose width is no
+    more than the share is clipped at it, and what the clip frees is split
+    again over the rest, until no agent clips.
+    """
+    entries = sorted(((price, k, width) for k, curve in offers for width, price in curve.segments),
+                     key=lambda t: t[0])
+    tiers = []  # (price, [(agent index, width), ...])
+    for price, k, width in entries:
+        if tiers and tiers[-1][0] == price:
+            tiers[-1][1].append((k, width))
+        else:
+            tiers.append((price, [(k, width)]))
+    fills = dict.fromkeys((k for k, _ in offers), 0.0)
+    cost = 0.0
+    remaining = min(need, sum(width for _, members in tiers for _, width in members))
+    for price, members in tiers:
+        if remaining <= 0:
+            break
+        avail = {}
+        for k, width in members:
+            avail[k] = avail.get(k, 0.0) + width
+        tier_total = sum(avail.values())
+        if remaining >= tier_total:
+            for k, width in avail.items():
+                fills[k] += width
+            cost += tier_total * price
+            remaining -= tier_total
+            continue
+        active = dict(avail)
+        r = remaining
+        while active and r > 0:
+            share = r / len(active)
+            clipped = [k for k, a in active.items() if a <= share]
+            if not clipped:
+                for k in active:
+                    fills[k] += share
+                break
+            for k in clipped:
+                r -= active.pop(k)
+                fills[k] += avail[k]
+        cost += remaining * price
+        remaining = 0.0
+    return cost, fills
 
 
 def grid_search_objective(gamma, m0, agents, budget, step=1e-4):

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import inertia_market
-from inertia_market import case_study, emit_scenario
+from inertia_market import case_study, emit_scenario, h2
 from inertia_market.cli import cli_dispatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +101,14 @@ def test_h2_gramian_matches_closed_on_grid(capsys):
 
     closed = h2_primary_effort_closed(scn.grid.m0, [pi_uniform] * scn.grid.n, kappa=2)
     assert gram == pytest.approx(closed, rel=1e-8)
+
+
+def test_h2_gramian_inexact_solve_exit_two(capsys, monkeypatch):
+    exact = h2._lyapunov
+    monkeypatch.setattr(h2, "_lyapunov", lambda a, q: 1.01 * exact(a, q))
+    code, out, err = run_cli(capsys, "h2", CASE_FILE, "--method", "gramian")
+    assert code == 2
+    assert out == "" and "residuals too large" in err
 
 
 def test_h2_upper_bound_runs(capsys):

@@ -16,6 +16,7 @@ from inertia_market import (
     upper_bound_worst,
     worst_case_metric,
     DisturbanceBudget,
+    h2,
 )
 from inertia_market.grid import drift_mode
 
@@ -140,6 +141,14 @@ class TestConstrainedLyapunov:
         Q_leaky = np.eye(4)  # does not annihilate the drift mode
         with pytest.raises(GridError, match="drift"):
             solve_constrained_lyapunov(sys_.A, Q_leaky)
+
+    def test_inexact_solve_raises(self, monkeypatch):
+        # A Gramian 1% off misses the residual bound instead of yielding a wrong metric.
+        exact = h2._lyapunov
+        monkeypatch.setattr(h2, "_lyapunov", lambda a, q: 1.01 * exact(a, q))
+        g = make_grid([1.5, 2.5, 0.8], [0.7, 1.1, 1.3], [(0, 1, 1.0), (1, 2, 0.5)])
+        with pytest.raises(NumericsError, match="residuals too large"):
+            h2_norm_sq_gramian(primary_system(g, g.m0, np.ones(3)))
 
     def test_rejects_oversized_systems(self):
         n = 40  # past the 64-state dense-solve cap

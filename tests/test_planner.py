@@ -1,6 +1,7 @@
 """Breakpoint planner: bus fills, trade-off and capped solves, dual link."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from inertia_market import (
 )
 from inertia_market.planner import _BusSupply, _Market
 
-from helpers import dual_gamma_bisection_oracle, grid_search_objective, random_market
+from helpers import bus_fill_resplit_oracle, dual_gamma_bisection_oracle, grid_search_objective, random_market
 
 LEVEL = 10.0 / 0.29  # required level of the bundled study
 
@@ -62,8 +63,8 @@ class TestCostCurve:
 
 def bus_fill(agents, target, m0_i):
     """Cost and fills, in ``agents`` order, lifting one bus from ``m0_i`` to ``target``."""
-    cost, fills = _BusSupply(m0_i, list(enumerate(ag.curve for ag in agents))).fill(target - m0_i)
-    return cost, list(fills.values())
+    supply = _BusSupply(m0_i, list(enumerate(ag.curve for ag in agents)))
+    return supply.cost_at(target - m0_i), list(supply.fill(target - m0_i).values())
 
 
 class TestNodeFillCost:
@@ -109,7 +110,46 @@ class TestNodeFillCost:
         # A need beyond the bus's capacity fills the whole capacity.
         supply = _BusSupply(1.0, [(3, CostCurve.linear(1.0, 2.0))])
         assert supply.reach == 3.0
-        assert supply.fill(4.0) == supply.fill(2.0) == (2.0, {3: 2.0})
+        assert supply.fill(4.0) == supply.fill(2.0) == {3: 2.0}
+        assert supply.cost_at(4.0) == supply.cost_at(2.0) == 2.0
+
+    def test_random_tied_buses_match_resplit_oracle(self):
+        # Dense buses on a tied price grid with zero prices, repeated prices
+        # within a curve and, half the time, equal widths: the one-pass
+        # split must agree with clip-and-resplit, and its unclipped agents
+        # must get the same share to the bit.
+        rng = np.random.default_rng(13)
+        grid = [0.0, 1.0, 2.0, 5.0]
+        equal_shares = 0
+        for _ in range(300):
+            widths = [0.5, 1.0, 1.5] if rng.random() < 0.5 else None
+            offers = []
+            for k in range(int(rng.integers(1, 41))):
+                n_seg = int(rng.integers(1, 4))
+                prices = np.sort(rng.choice(grid, size=n_seg))
+                w = rng.choice(widths, size=n_seg) if widths else rng.uniform(0.3, 2.0, size=n_seg)
+                offers.append((k, CostCurve(tuple((float(a), float(p)) for a, p in zip(w, prices)))))
+            supply = _BusSupply(1.0, offers)
+            needs = list(rng.uniform(0.0, 1.2 * supply.capacity, size=20)) + supply.knots
+            for need in needs:
+                ref_cost, ref_fills = bus_fill_resplit_oracle(offers, need)
+                fills = supply.fill(need)
+                assert list(fills) == list(ref_fills)
+                for k, f in fills.items():
+                    assert abs(f - ref_fills[k]) <= 1e-12 * max(1.0, need)
+                assert abs(supply.cost_at(need) - ref_cost) <= 1e-12 * max(1.0, ref_cost)
+                j = bisect_right(supply.knots, need) - 1
+                if j < len(supply.tiers):
+                    price, members = supply.tiers[j]
+                    # Agents with nothing cheaper hold only their share of the split tier.
+                    unclipped = [
+                        fills[k]
+                        for k, width in members.items()
+                        if fills[k] < width and offers[k][1].segments[0][1] == price
+                    ]
+                    assert len(set(unclipped)) <= 1
+                    equal_shares += len(unclipped) > 1
+        assert equal_shares > 1000  # the equal-share check must actually have been exercised
 
 
 def single_bus_instance():

@@ -92,24 +92,24 @@ def test_non_finite_budget_rejected(pi_tot):
 
 class TestExpandPerformanceConstraint:
     def test_case_numbers(self):
-        level = expand_performance_constraint(0.29, DisturbanceBudget(10.0, 9), 9)
+        level = expand_performance_constraint(0.29, DisturbanceBudget(10.0, 9))
         assert level == pytest.approx(34.4828, abs=1e-4)
 
     def test_zero_budget_vacuous(self):
-        assert expand_performance_constraint(1.0, DisturbanceBudget(0.0, 3), 3) == 0.0
+        assert expand_performance_constraint(1.0, DisturbanceBudget(0.0, 3)) == 0.0
 
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(GridError, match="gamma_bar"):
-            expand_performance_constraint(0.0, DisturbanceBudget(1.0, 2), 2)
+            expand_performance_constraint(0.0, DisturbanceBudget(1.0, 2))
 
     @pytest.mark.parametrize("gamma_bar", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_rejects_non_finite_cap(self, gamma_bar):
         with pytest.raises(GridError, match="finite"):
-            expand_performance_constraint(gamma_bar, DisturbanceBudget(1.0, 2), 2)
+            expand_performance_constraint(gamma_bar, DisturbanceBudget(1.0, 2))
 
     def test_equality_at_the_level(self):
         budget = DisturbanceBudget(10.0, 3)
-        level = expand_performance_constraint(0.29, budget, 3)
+        level = expand_performance_constraint(0.29, budget)
         m = np.array([level, level + 5.0, level + 1.0])
         assert worst_case_metric(m, budget).gamma == pytest.approx(0.29, rel=1e-12)
 
@@ -122,7 +122,7 @@ class TestExpandPerformanceConstraint:
     def test_equivalence_both_directions(self, m, gamma_bar, pi_tot):
         m = np.asarray(m)
         budget = DisturbanceBudget(pi_tot, len(m))
-        level = expand_performance_constraint(gamma_bar, budget, len(m))
+        level = expand_performance_constraint(gamma_bar, budget)
         # Stay off the knife edge where the two float expressions may
         # round to different sides of the (measure-zero) boundary.
         assume(np.all(np.abs(m * gamma_bar - pi_tot) > 1e-9 * pi_tot))

@@ -54,6 +54,8 @@ def test_minimal_scenario_parses(tmp_path):
         (lambda d: d["agents"].__setitem__(0, {"id": "a", "bus": "9", "bid": []}), "unknown bus"),
         (lambda d: d["agents"].append({"id": "a", "bus": "1", "bid": [{"width": 1, "price": 1}]}), "duplicate agent"),
         (lambda d: d["agents"].__setitem__(0, {"id": "a", "bus": "1"}), "missing bid"),
+        (lambda d: d["agents"][0].update(cost=[]), r"cost: expected a non-empty list"),
+        (lambda d: d["agents"][0].update(cost=0), r"cost: expected a non-empty list"),
     ],
 )
 def test_schema_violations_are_diagnosed(tmp_path, mutate, message):

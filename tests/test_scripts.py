@@ -9,7 +9,23 @@ import pytest
 
 import inertia_market
 
-AUDIT_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "audit_sweep.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+AUDIT_SWEEP = SCRIPTS / "audit_sweep.py"
+GAMMA_TRADEOFF = SCRIPTS / "gamma_tradeoff.py"
+
+
+def run_script(*argv):
+    src = str(Path(inertia_market.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env)
+
+
+def assert_usage_error(proc, flag, message):
+    assert proc.returncode == 2, proc.stderr
+    assert "usage:" in proc.stderr
+    assert f"argument {flag}: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -23,16 +39,20 @@ AUDIT_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "audit_sweep.
 def test_audit_sweep_zero_count_is_a_usage_error(flag, value, message):
     # Each of these used to run on into a GridError or numpy ValueError
     # traceback, or, for zero instances, a "worst violation -inf" line.
-    src = str(Path(inertia_market.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(AUDIT_SWEEP), "--instances", "1", "--trials", "1", flag, value],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "usage:" in proc.stderr
-    assert f"argument {flag}: {message}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    proc = run_script(AUDIT_SWEEP, "--instances", "1", "--trials", "1", flag, value)
+    assert_usage_error(proc, flag, message)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--points", "0", "must be at least 1, got 0"),
+        ("--gamma-min", "0", "must be positive and finite, got 0"),
+        ("--gamma-max", "inf", "must be positive and finite, got inf"),
+    ],
+    ids=["points-0", "gamma-min-0", "gamma-max-inf"],
+)
+def test_gamma_tradeoff_bad_sweep_is_a_usage_error(flag, value, message):
+    # Zero points used to print only the CSV header, and a zero gamma bound
+    # died in a numpy traceback.
+    assert_usage_error(run_script(GAMMA_TRADEOFF, flag, value), flag, message)
