@@ -10,7 +10,9 @@ value at the cleared quantity. Two clearing objectives are supported:
   objective. One fill level decides every plan, and an abstention changes
   the aggregate fill cost only at the abstainer's bus, so all N payments
   come from the base solve's one sorted sweep of fill-price breakpoints
-  rather than N re-solves. Always feasible, and the mode under which the
+  rather than N re-solves: each abstention optimum is a short walk from
+  the base optimum, on the abstainer's bus with that agent dropped from
+  its merged tiers. Always feasible, and the mode under which the
   truthfulness and participation properties are audited.
 * capped mode (``run_auction_hard``): quantities come from the
   minimum-cost solve under the worst-case cap, and abstentions keep the
@@ -24,7 +26,8 @@ The incentive audit clears each trial on one market of the trial's bids.
 The truthful plan is that market's optimum. The deviation and the
 abstention each swap the deviator's bus supply for one no larger than its
 own: the same widths re-priced, or one agent fewer. So a trial is one
-market build and three level searches, with no full re-solve.
+market build, one level search for the truthful optimum and two short
+walks from it, with no full re-solve.
 
 Clearing is scalar arithmetic on tuples of floats and loads no numpy. The
 incentive audit draws its random bids from numpy's ``Generator``, which
@@ -121,7 +124,8 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     Quantities minimize gamma * Gamma(m(mu)) + sum bids; each agent is
     paid its externality under the same objective. All abstention optima
     come from the base solve's sweep: removing agent k changes the
-    aggregate fill cost only through its own bus's supply. A zero-quantity
+    aggregate fill cost only through its own bus's supply, so each is a
+    walk from the base optimum to a lower level. A zero-quantity
     agent's abstention changes nothing, so its exclusion objective is the
     base objective and its payment exactly zero.
     """
@@ -214,13 +218,14 @@ def _trial_utilities(market, k: int, deviation: CostCurve, gamma: float):
 
     ``market`` holds the trial's bids with k bidding its true curve, so its
     own optimum is the truthful plan. The abstention and the deviation
-    change only k's bus, so each is one swapped level search on the same
+    change only k's bus, so each is a walk from that optimum on the same
     sweep. Both bids are paid against the same abstention objective.
     """
     weight = market.weight(gamma)
     true_cost = market.agents[k].curve
+    truthful = market.optimum(k, weight)
     excl_obj, _ = market.swap_optimum(k, weight)
-    plans = ((true_cost, market.optimum(k, weight)), (deviation, market.swap_optimum(k, weight, deviation)))
+    plans = ((true_cost, truthful), (deviation, market.swap_optimum(k, weight, deviation)))
     return tuple(
         _externality_payment(excl_obj, objective, bid.value(q)) - true_cost.value(q)
         for bid, (objective, q) in plans

@@ -10,9 +10,10 @@ piecewise-linear in L, which makes the trade-off objective
 convex with finitely many slope breakpoints. The solver sorts the
 breakpoints of every bus into one sweep of the aggregate slope, finds the
 piece holding the minimizer by binary search, minimizes analytically
-inside it, and is exact up to floating point. The capped problem fixes
-the level at pi_tot / gamma_bar, and the same sweep gives its multiplier
-in closed form from the slope of the fill cost there.
+inside it, and is exact up to floating point. A change to one bus's
+supply moves the minimizer by a short walk from there. The capped
+problem fixes the level at pi_tot / gamma_bar, and the same sweep gives
+its multiplier in closed form from the slope of the fill cost there.
 """
 
 from __future__ import annotations
@@ -128,29 +129,36 @@ class _BusSupply:
     ``offers`` are (agent index, CostCurve) pairs, and ``m0`` is the bus's
     residual inertia. ``tiers`` are (price, {agent index: width}) in
     ascending price, each agent's segments at one price summed into one
-    width. ``knots`` and ``knot_costs`` are the cumulative width and cost
-    at each tier's end; ``starts`` are the levels at which the tiers
-    begin, and ``reach`` the level the whole supply lifts the bus to.
+    width, and ``widths`` their summed widths. ``knots`` and
+    ``knot_costs`` are the cumulative width and cost at each tier's end;
+    ``starts`` are the levels at which the tiers begin, and ``reach`` the
+    level the whole supply lifts the bus to.
     """
 
     def __init__(self, m0: float, offers):
-        self.m0, self.offers = m0, offers
-        tiers = {}
+        merged = {}
         for k, curve in offers:
             for width, price in curve.segments:
-                members = tiers.setdefault(price, {})
+                members = merged.setdefault(price, {})
                 members[k] = members.get(k, 0.0) + width
-        self.tiers = sorted(tiers.items())  # prices are distinct keys, so no dict is compared
-        self.knots = [0.0]
-        self.knot_costs = [0.0]
-        for price, members in self.tiers:
-            width = sum(members.values())
-            self.knots.append(self.knots[-1] + width)
-            self.knot_costs.append(self.knot_costs[-1] + width * price)
-        self.capacity = self.knots[-1]
-        self.reach = m0 + self.capacity
-        self.starts = [m0 + knot for knot in self.knots[:-1]]
-        self.prices = [price for price, _ in self.tiers]
+        tiers = sorted(merged.items())  # prices are distinct keys, so no dict is compared
+        self._index(m0, offers, tiers, [sum(members.values()) for _, members in tiers])
+
+    def _index(self, m0: float, offers, tiers, widths):
+        """Set every field from the merged ``tiers`` and their ``widths``, summed in tier order."""
+        self.m0, self.offers, self.tiers, self.widths = m0, offers, tiers, widths
+        self.prices, self.starts = prices, starts = [], []
+        self.knots, self.knot_costs = knots, knot_costs = [0.0], [0.0]
+        knot = cost = 0.0
+        for (price, _), width in zip(tiers, widths):
+            prices.append(price)
+            starts.append(m0 + knot)
+            knot += width
+            cost += width * price
+            knots.append(knot)
+            knot_costs.append(cost)
+        self.capacity = knot
+        self.reach = m0 + knot
 
     def price_at(self, x: float) -> float:
         """Marginal price of lifting the bus at level ``x``."""
@@ -196,12 +204,28 @@ class _BusSupply:
         return fills
 
     def swapped(self, k: int, curve=None) -> "_BusSupply":
-        """This bus's supply with agent ``k`` bidding ``curve``, or abstaining for ``curve=None``."""
-        if curve is None:
-            offers = [(j, c) for j, c in self.offers if j != k]
-        else:
-            offers = [(j, curve if j == k else c) for j, c in self.offers]
-        return _BusSupply(self.m0, offers)
+        """This bus's supply with agent ``k`` bidding ``curve``, or abstaining for ``curve=None``.
+
+        An abstention drops k from the merged tiers without a re-merge.
+        Every other member keeps its width and its place, so the knots
+        sum as a rebuild's would, to the bit. A re-priced bid re-merges.
+        """
+        if curve is not None:
+            return _BusSupply(self.m0, [(j, curve if j == k else c) for j, c in self.offers])
+        tiers, widths = [], []
+        for tier, width in zip(self.tiers, self.widths):
+            price, members = tier
+            if k in members:
+                members = members.copy()
+                del members[k]
+                if not members:
+                    continue
+                tier, width = (price, members), sum(members.values())
+            tiers.append(tier)
+            widths.append(width)
+        supply = _BusSupply.__new__(_BusSupply)
+        supply._index(self.m0, [(j, c) for j, c in self.offers if j != k], tiers, widths)
+        return supply
 
 
 def _beyond(level, reach):
@@ -221,9 +245,10 @@ class _Market:
 
     The same arrays price any change to one agent's bid that does not
     enlarge its bus's supply, an abstention or a re-priced bid: it changes
-    C only through that bus's own supply. A capped abstention keeps the
-    level, so it re-prices that bus's cost alone and re-sums ``fill``'s
-    bus costs.
+    C only through that bus's own supply, so its optimum is a short walk
+    from this market's own optimum. A capped abstention keeps the level,
+    so it re-prices that bus's cost alone and re-sums ``fill``'s bus
+    costs.
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
@@ -236,6 +261,8 @@ class _Market:
         self.m0, self.agents, self.budget = m0, agents, budget
         offers = [[] for _ in range(n)]  # (agent index, curve) per bus, absentees left out
         for k, ag in enumerate(agents):
+            if not hasattr(ag.bus, "__index__"):  # ints, numpy's too; no floats
+                raise GridError(f"agent {ag.id!r}: bus index must be an integer, got {ag.bus!r}")
             if ag.bus < 0 or ag.bus >= n:
                 raise GridError(f"agent {ag.id!r}: bus index {ag.bus} out of range")
             if k not in excluded:
@@ -245,6 +272,7 @@ class _Market:
         self._cap_bus = min(range(n), key=lambda i: self.supplies[i].reach)
         self.cap = self.supplies[self._cap_bus].reach
         self._curve = None
+        self._levels = {}  # level(weight) by weight, where swapped walks start
 
     def _sweep(self):
         """Breakpoints ``pts`` of C (lo .. cap), its slope on (pts[j], pts[j+1]) and C(pts[j]).
@@ -284,63 +312,97 @@ class _Market:
     def level(self, weight: float, swap=None) -> float:
         """Minimizer of weight / L + C(L) over [min m0, reach cap].
 
+        The smallest piece whose right end has a nonnegative derivative
+        holds the minimizer, found by binary search and kept per weight.
+
         ``swap = (b, supply)`` replaces bus b's supply with any supply no
         larger than bus b's own, up to rounding, as an abstention or a
         re-priced bid at bus b does. The reach cap becomes
         ``min(cap, supply.reach)``: no other bus's reach moves,
         and re-summing the same widths in another order can come out an
         ulp above the original. A supply larger beyond rounding raises
-        :class:`ContractError`, since the sweep stops at the cap. Slopes
-        are probed at piece midpoints, where every step function is
-        unambiguous, never at a breakpoint: ``(m0_b + knot) - m0_b`` can
-        round below ``knot``.
+        :class:`ContractError`, since the sweep stops at the cap. The
+        minimizer is then found by a walk from this market's own optimum
+        over the merged breakpoints of ``pts`` and ``supply.starts``.
         """
         if weight <= 0:
             return self.lo
-        pts, slopes, _ = self._sweep()
-        top = self.cap
-        extra = []  # breakpoints of the swapped-in supply
         if swap is not None:
-            b, supply = swap
-            old = self.supplies[b]
-            if supply.capacity - old.capacity > 1e-9 * max(1.0, old.capacity):
-                raise ContractError(
-                    f"swapped-in supply {supply.capacity:.17g} exceeds bus {b}'s own {old.capacity:.17g}"
-                )
-            top = min(self.cap, supply.reach)
-            extra = supply.starts
-        last = len(slopes) - 1
+            return self._walk(weight, *swap)
+        if weight not in self._levels:
+            pts, slopes, _ = self._sweep()
+            first = bisect_left(
+                range(len(slopes)), True, key=lambda j: slopes[j] >= weight / (pts[j + 1] * pts[j + 1])
+            )
+            if first == len(slopes):
+                self._levels[weight] = self.cap
+            else:
+                self._levels[weight] = min(max(math.sqrt(weight / slopes[first]), pts[first]), pts[first + 1])
+        return self._levels[weight]
 
-        def slope_at(x):
-            s = slopes[min(bisect_right(pts, x) - 1, last)]
-            if swap is not None:
-                s += supply.price_at(x) - old.price_at(x)
-            return s
+    def _walk(self, weight: float, b: int, supply: "_BusSupply") -> float:
+        """``level(weight, swap=(b, supply))``, by a walk from ``level(weight)``.
 
-        def piece_end(j):
-            """Right end of piece j within [lo, top] and its last sub-piece's midpoint."""
-            r = min(pts[j + 1], top)
-            t = bisect_left(extra, r)
-            a = max(pts[j], extra[t - 1]) if t else pts[j]
-            return r, 0.5 * (a + r)
-
-        def rises(j):
-            r, mid = piece_end(j)
-            return slope_at(mid) >= weight / (r * r)
-
-        # Smallest piece whose right end has nonnegative derivative.
-        n_pieces = bisect_left(pts, top)
-        first = bisect_left(range(n_pieces), True, key=rises)
-        if first == n_pieces:
+        The swapped cost's sub-pieces lie between the merged breakpoints of
+        ``pts`` and ``supply.starts``: where piece i of the sweep meets tier
+        t - 1 of ``supply``, the slope is the sweep's with bus b's old price
+        swapped for that tier's. From the sub-piece holding this market's
+        own optimum, the walk goes right while the derivative at a
+        sub-piece's right end is negative, or left while it is not negative
+        at its left end and the next sub-piece down still rises. It clamps
+        the stationary point to the sub-piece where it stops: the lowest
+        with a nonnegative derivative at its right end, as the binary search
+        finds. Removing supply only raises slopes, so an abstention's walk
+        stays or goes left. A sub-piece narrower than rounding
+        is skipped: a swapped start and the sweep's breakpoint for the same
+        knot, re-summed, can differ by an ulp, and the slope between them
+        mixes the tiers on either side.
+        """
+        old = self.supplies[b]
+        if supply.capacity - old.capacity > 1e-9 * max(1.0, old.capacity):
+            raise ContractError(
+                f"swapped-in supply {supply.capacity:.17g} exceeds bus {b}'s own {old.capacity:.17g}"
+            )
+        lo, top = self.lo, min(self.cap, supply.reach)
+        if top <= lo:
             return top
-        a = pts[first]
-        r = min(pts[first + 1], top)
-        # The last sub-piece is the one the search tested, so it always stops.
-        for end in [e for e in extra if a < e < r] + [r]:
-            s = slope_at(0.5 * (a + end))
-            if end == r or s >= weight / (end * end):
-                return min(max(math.sqrt(weight / s), a), end)
-            a = end
+        pts, slopes, _ = self._sweep()
+        starts, prices, n = supply.starts, supply.prices, len(supply.starts)
+        x = min(self.level(weight), top)
+        i, t = min(bisect_right(pts, x), len(slopes)) - 1, bisect_right(starts, x)
+        move, found = 0, None  # move 1 is right, -1 left, 0 right until a sub-piece decides
+        while True:
+            a = max(pts[i], starts[t - 1]) if t else pts[i]
+            e = min(pts[i + 1], starts[t], top) if t < n else min(pts[i + 1], top)
+            if e - a > 1e-12 * e:
+                # Every old start below the cap is a breakpoint, so bus b's old price is the one at pts[i].
+                s = slopes[i] + (prices[t - 1] if t else 0.0) - old.price_at(pts[i])
+                if s < weight / (e * e):  # the derivative is negative at e: the minimizer lies above
+                    if move < 0:
+                        break
+                    move = 1
+                else:
+                    found = a, e, s
+                    # Walking right, this is the first sub-piece that rises. Falling at a,
+                    # it holds the minimizer: slopes only fall further below a.
+                    if move > 0 or s < weight / (a * a):
+                        break
+                    move = -1
+            # Step over the breakpoint at a or e: a sweep breakpoint moves i, a swapped start t, or both.
+            if move < 0:
+                if a <= lo:
+                    break
+                i, t = i - (a == pts[i]), t - (t > 0 and a == starts[t - 1])
+            elif e < top:
+                i, t = i + (e == pts[i + 1]), t + (t < n and e == starts[t])
+            elif move > 0:
+                break
+            else:  # only sub-pieces narrower than rounding lie between x and top
+                move = -1
+        if found is None:
+            return top
+        a, e, s = found
+        return min(max(math.sqrt(weight / s), a), e)
 
     def required_level(self, gamma_bar: float) -> float:
         """Level pi_tot / gamma_bar that the cap Gamma(m) <= gamma_bar needs.
@@ -399,7 +461,8 @@ class _Market:
         """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
 
         ``curve=None`` means agent k abstains (quantity 0). Either way only
-        k's bus changes, so this is one level search on this market's sweep.
+        k's bus changes, so this is one walk from this market's optimum on
+        its sweep.
         """
         b = self.agents[k].bus
         supply = self.supplies[b].swapped(k, curve)

@@ -31,8 +31,8 @@ class DisturbanceBudget:
     def __post_init__(self):
         if not (math.isfinite(self.pi_tot) and self.pi_tot >= 0):
             raise GridError(f"pi_tot must be nonnegative and finite, got {self.pi_tot!r}")
-        if self.n < 1:
-            raise GridError("budget dimension must be at least 1")
+        if not hasattr(self.n, "__index__") or self.n < 1:  # ints, numpy's too; no floats
+            raise GridError(f"budget dimension must be an integer of at least 1, got {self.n!r}")
 
 
 @dataclass(frozen=True)

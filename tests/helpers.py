@@ -136,15 +136,21 @@ def matrix_sqrt_psd(Q):
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def random_market(rng, max_buses=4, max_agents=6, max_segments=3, price_grid=None):
+def random_market(
+    rng, max_buses=4, max_agents=6, max_segments=3, price_grid=None, min_agents=1, width_grid=None
+):
     """Random planner instance: residual inertia, agents, budget.
 
     With ``price_grid``, prices are drawn from that finite set, so
     co-located agents often tie on price and zero prices occur if listed.
+    With ``width_grid``, segment widths are drawn from that finite set, so
+    knots re-summed in another order often land within an ulp of each
+    other. The number of agents is drawn from ``min_agents`` to
+    ``max_agents``.
     """
     n = int(rng.integers(1, max_buses + 1))
     m0 = rng.uniform(0.5, 4.0, size=n)
-    n_agents = int(rng.integers(1, max_agents + 1))
+    n_agents = int(rng.integers(min_agents, max_agents + 1))
     agents = []
     for k in range(n_agents):
         n_seg = int(rng.integers(1, max_segments + 1))
@@ -152,7 +158,10 @@ def random_market(rng, max_buses=4, max_agents=6, max_segments=3, price_grid=Non
             prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
         else:
             prices = np.sort(rng.choice(price_grid, size=n_seg))
-        widths = rng.uniform(0.3, 2.0, size=n_seg)
+        if width_grid is None:
+            widths = rng.uniform(0.3, 2.0, size=n_seg)
+        else:
+            widths = rng.choice(width_grid, size=n_seg)
         curve = CostCurve(tuple((float(w), float(p)) for w, p in zip(widths, prices)))
         agents.append(Agent(id=f"a{k}", bus=int(rng.integers(n)), curve=curve))
     budget = DisturbanceBudget(pi_tot=float(rng.uniform(0.5, 20.0)), n=n)

@@ -35,6 +35,19 @@ from helpers import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TIED_PRICES = (0.0, 0.5, 1.0, 2.0, 5.0)
+
+
+def dense_market(rng, tied):
+    """50 to 80 agents crowded onto one or two buses.
+
+    ``tied`` draws prices from ``TIED_PRICES`` and gives every segment the
+    width 0.3, so a bus's tiers hold many members, and knots re-summed
+    without an agent, or in another order, land within an ulp of the
+    sweep's breakpoints.
+    """
+    grids = {"price_grid": TIED_PRICES, "width_grid": (0.3,)} if tied else {}
+    return random_market(rng, max_buses=2, max_agents=80, min_agents=50, **grids)
 
 
 def single_bus_instance():
@@ -105,13 +118,15 @@ def assert_matches_resolve_oracle(bids, gamma, m0, budget):
 class TestSweepPaymentsMatchResolves:
     def test_random_markets(self):
         rng = np.random.default_rng(101)
-        # The second shape crowds up to 40 agents onto one or two buses.
-        for max_buses, max_agents, draws in ((5, 10, 300), (2, 40, 60)):
-            for trial in range(draws):
-                grid = (0.0, 0.5, 1.0, 2.0, 5.0) if trial % 2 else None
-                m0, agents, budget = random_market(rng, max_buses, max_agents, price_grid=grid)
-                gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
-                assert_matches_resolve_oracle(agents, gamma, m0, budget)
+        for trial in range(300):
+            grid = TIED_PRICES if trial % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=5, max_agents=10, price_grid=grid)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_matches_resolve_oracle(agents, gamma, m0, budget)
+        for trial in range(60):
+            m0, agents, budget = dense_market(rng, tied=trial % 2)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_matches_resolve_oracle(agents, gamma, m0, budget)
 
     def test_lone_agent_whose_abstention_sets_the_reach_cap(self):
         agents = [
@@ -352,7 +367,7 @@ class TestCappedPaymentsMatchResolves:
         rng = np.random.default_rng(307)
         outcomes = {"feasible": 0, "pivotal": 0, "unreachable": 0, "unpaid": 0}
         for draw in range(1200):
-            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
+            grid = TIED_PRICES if draw % 2 else None
             m0, agents, budget = random_market(rng, max_buses=5, max_agents=10, price_grid=grid)
             gamma_bar = worst_case_metric(m0, budget).gamma * rng.uniform(0.3, 1.2)
             if draw % 4 < 2:  # a numpy scalar cap must still give float outputs
@@ -365,9 +380,8 @@ class TestCappedPaymentsMatchResolves:
                 outcomes["unpaid"] += sum(q == 0.0 for q in out.mu)
         # every branch is exercised many times
         assert min(outcomes.values()) > 100, outcomes
-        for draw in range(60):  # dense buses: up to 40 agents on one or two
-            grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
-            m0, agents, budget = random_market(rng, max_buses=2, max_agents=40, price_grid=grid)
+        for draw in range(60):
+            m0, agents, budget = dense_market(rng, tied=draw % 2)
             gamma_bar = worst_case_metric(m0, budget).gamma * rng.uniform(0.3, 1.2)
             assert_capped_matches_oracle(agents, gamma_bar, m0, budget)
 
@@ -455,20 +469,27 @@ class TestCappedPaymentsMatchResolves:
         "run, limit", [(run_auction, 30.0), (run_auction_hard, 3.0)], ids=["run_auction", "run_auction_hard"]
     )
     def test_one_market_per_auction(self, monkeypatch, run, limit):
-        built, soft_solves = [], []
-        original = planner._Market.__init__
+        # One market, and one merge of each bus's offers: every abstention
+        # drops its agent from the merged tiers instead of re-merging.
+        built, soft_solves = {planner._Market: 0, planner._BusSupply: 0}, []
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
+        def count(cls):
+            original = cls.__init__
 
-        monkeypatch.setattr(planner._Market, "__init__", counting_init)
+            def counting_init(self, *args, **kwargs):
+                built[cls] += 1
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        count(planner._Market)
+        count(planner._BusSupply)
         monkeypatch.setattr(planner, "solve_centralized_soft", lambda *args, **kwargs: soft_solves.append(args))
         agents = [Agent(f"a{k}", k % 3, CostCurve(((2.0, 1.0 + k), (3.0, 8.0 + k)))) for k in range(10)]
         m0, budget = (1.0, 1.5, 2.0), DisturbanceBudget(12.0, 3)
         out = run(agents, limit, m0, budget)
         assert sum(q > 0 for q in out.mu) > 3
-        assert len(built) == 1 and soft_solves == []
+        assert built == {planner._Market: 1, planner._BusSupply: 3} and soft_solves == []
 
 
 def true_social_cost(out, bids, k, true_cost, gamma, budget):
@@ -625,13 +646,15 @@ def assert_audit_matches_oracle(agents, gamma, m0, budget, trials, seed):
 class TestAuditMatchesResolveOracle:
     def test_random_markets(self):
         rng = np.random.default_rng(211)
-        # The second shape crowds up to 40 agents onto one or two buses.
-        for max_buses, max_agents, draws in ((4, 6, 300), (2, 40, 60)):
-            for draw in range(draws):
-                grid = (0.0, 0.5, 1.0, 2.0, 5.0) if draw % 2 else None
-                m0, agents, budget = random_market(rng, max_buses, max_agents, price_grid=grid)
-                gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
-                assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
+        for draw in range(300):
+            grid = TIED_PRICES if draw % 2 else None
+            m0, agents, budget = random_market(rng, max_buses=4, max_agents=6, price_grid=grid)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
+        for draw in range(60):
+            m0, agents, budget = dense_market(rng, tied=draw % 2)
+            gamma = float(np.exp(rng.uniform(np.log(0.05), np.log(500.0))))
+            assert_audit_matches_oracle(agents, gamma, m0, budget, trials=8, seed=draw)
 
     def test_one_bus_one_agent(self):
         agents = [Agent("solo", 0, CostCurve(((1.5, 0.5), (2.0, 4.0))))]

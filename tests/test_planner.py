@@ -16,7 +16,10 @@ from inertia_market import (
     ScenarioError,
     case_study,
     dual_gamma_iterate,
+    incentive_audit,
     regulatory_allocation,
+    run_auction,
+    run_auction_hard,
     solve_centralized_hard,
     solve_centralized_soft,
     worst_case_metric,
@@ -150,6 +153,23 @@ class TestNodeFillCost:
                     assert len(set(unclipped)) <= 1
                     equal_shares += len(unclipped) > 1
         assert equal_shares > 1000  # the equal-share check must actually have been exercised
+
+    def test_abstention_drops_the_agent_as_a_rebuild_would(self):
+        # An abstention removes k from the merged tiers without re-merging
+        # the bus: every field, the knots, costs and starts included, must
+        # equal a rebuild from the other offers, to the bit.
+        rng = np.random.default_rng(17)
+        dropped_tiers = 0
+        for draw in range(200):
+            tied = {"price_grid": (0.0, 0.5, 1.0, 2.0), "width_grid": (0.3,)} if draw % 2 else {}
+            m0, agents, budget = random_market(rng, max_buses=2, max_agents=30, **tied)
+            for supply in _Market(m0, agents, budget).supplies:
+                for k, _ in supply.offers:
+                    got = supply.swapped(k)
+                    want = _BusSupply(supply.m0, [(j, c) for j, c in supply.offers if j != k])
+                    assert vars(got) == vars(want)
+                    dropped_tiers += len(got.tiers) < len(supply.tiers)
+        assert dropped_tiers > 100  # agents alone at their price leave a tier too
 
 
 def single_bus_instance():
@@ -399,6 +419,37 @@ def test_residual_inertia_must_be_positive_and_finite(bad):
             call()
 
 
+def agent_bus_calls(m0, agents, budget):
+    """Every entry point that clears ``agents``, as zero-argument calls."""
+    return [
+        lambda: solve_centralized_soft(1.0, m0, agents, budget),
+        lambda: solve_centralized_hard(1.0, m0, agents, budget),
+        lambda: dual_gamma_iterate(1.0, m0, agents, budget),
+        lambda: regulatory_allocation(1.0, m0, agents, budget),
+        lambda: run_auction(agents, 1.0, m0, budget),
+        lambda: run_auction_hard(agents, 1.0, m0, budget),
+        lambda: incentive_audit(agents, 1.0, m0, budget, trials=2, seed=0),
+    ]
+
+
+@pytest.mark.parametrize("bus", [1.0, "1", None], ids=["float", "str", "none"])
+def test_agent_bus_must_be_an_integer(bus):
+    agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", bus, CostCurve.linear(1.0, 2.0))]
+    m0, budget = np.array([1.0, 1.0]), DisturbanceBudget(1.0, 2)
+    for call in agent_bus_calls(m0, agents, budget):
+        with pytest.raises(GridError, match=f"agent 'B': bus index must be an integer, got {bus!r}"):
+            call()
+
+
+def test_numpy_integer_agent_bus_accepted():
+    curves = (CostCurve.linear(1.0, 2.0), CostCurve.linear(1.0, 2.0))
+    m0, budget = np.array([1.0, 1.0]), DisturbanceBudget(1.0, 2)
+    plain = [Agent("A", 0, curves[0]), Agent("B", 1, curves[1])]
+    numpy = [Agent("A", np.int64(0), curves[0]), Agent("B", np.int32(1), curves[1])]
+    for got, want in zip(agent_bus_calls(m0, numpy, budget), agent_bus_calls(m0, plain, budget)):
+        assert got() == want()
+
+
 class TestSwapOptimum:
     """A re-priced bid or an abstention priced on one market, against a re-solve."""
 
@@ -442,6 +493,43 @@ class TestSwapOptimum:
             swapped, q_swapped = market.swap_optimum(k, market.weight(7.0), ag.curve)
             assert swapped == pytest.approx(objective, rel=1e-12)
             assert q_swapped == pytest.approx(q, rel=1e-12, abs=1e-15)
+
+    def test_deviation_with_a_swapped_start_one_ulp_below_a_breakpoint(self):
+        # Trial 13 of the benchmark's audit instance 46 (perfbench/markets.py),
+        # on one bus. a0's deviation moves its first two segments above a3's,
+        # so the bus re-sums the same three widths in another order, and that
+        # knot starts a swapped tier one ulp below the sweep's breakpoint
+        # 27.9606. The base optimum lies above it and the swapped optimum two
+        # sub-pieces below: a walk that takes its direction from the one-ulp
+        # sub-piece can stop at the breakpoint instead.
+        bids = [
+            ((4.071292364064442, 0.2016982176493389), (2.736382906302997, 0.23153810669646432),
+             (4.073068675313897, 0.42926856567458405)),
+            ((27.543612570542194, 11.989964099076415), (8.591266205661567, 13.90900104058596)),
+            ((20.004585023639716, 4.03583285934401), (22.68596493772571, 8.550229312512991),
+             (0.32611458871845955, 9.60057804060385)),
+            ((18.68347925891547, 0.2858839789937836),),
+            ((16.511665789335225, 3.6402143096766735),),
+        ]
+        agents = [Agent(f"a{k}", 0, CostCurve(segments)) for k, segments in enumerate(bids)]
+        deviation = CostCurve(
+            ((4.071292364064442, 0.28868290116553874), (2.736382906302997, 0.5760781905547496),
+             (4.073068675313897, 0.6549339136768537))
+        )
+        m0, budget = np.array([2.4694230969120254]), DisturbanceBudget(12.548090775367303, 1)
+        gamma = 32.20903042649134
+        market = _Market(m0, agents, budget)
+        weight = market.weight(gamma)
+        pts, _, _ = market._sweep()
+        supply = market.supplies[0].swapped(0, deviation)
+        assert supply.starts[3] == math.nextafter(pts[3], 0.0) and round(pts[3], 4) == 27.9606
+        assert market.level(weight) > pts[3]
+        alloc, want_q = self.resolve(agents, 0, deviation, gamma, m0, budget)
+        assert round(alloc.level, 4) == 26.4873
+        assert market.level(weight, swap=(0, supply)) == pytest.approx(alloc.level, rel=1e-12)
+        objective, q = market.swap_optimum(0, weight, deviation)
+        assert objective == pytest.approx(alloc.objective, rel=1e-12)
+        assert q == pytest.approx(want_q, rel=1e-12)
 
     def test_swapped_supply_larger_than_the_bus_rejected(self):
         agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 2.0))]

@@ -90,6 +90,17 @@ def test_non_finite_budget_rejected(pi_tot):
         DisturbanceBudget(pi_tot, 2)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", 0, -1], ids=["fraction", "float", "str", "zero", "negative"])
+def test_budget_dimension_must_be_a_positive_integer(n):
+    with pytest.raises(GridError, match=f"budget dimension must be an integer of at least 1, got {n!r}"):
+        DisturbanceBudget(1.0, n)
+
+
+def test_numpy_integer_budget_dimension_accepted():
+    budget = DisturbanceBudget(1.0, np.int64(2))
+    assert worst_case_metric((1.0, 2.0), budget).gamma == 1.0
+
+
 class TestExpandPerformanceConstraint:
     def test_case_numbers(self):
         level = expand_performance_constraint(0.29, DisturbanceBudget(10.0, 9))
