@@ -31,9 +31,13 @@ walks from it, with no full re-solve.
 
 Clearing is scalar arithmetic on tuples of floats and loads no numpy. The
 incentive audit draws its random bids from numpy's ``Generator``, which
-``random_convex_curve``, ``deviation_curve`` and ``incentive_audit``
-import when they run: a seed keeps giving the same draws, so stored audit
-results stay comparable, and clearing commands skip the numpy import.
+only ``incentive_audit`` imports, when it runs: a seed keeps giving the
+same draws, so stored audit results stay comparable, and clearing commands
+skip the numpy import. ``random_convex_curve`` and ``deviation_curve`` take
+that generator and make the same calls on it, in the same order, as numpy's
+``uniform`` and ``dirichlet`` would, but turn the draws into prices and
+widths in plain Python: on arrays of one to three numbers, numpy's per-call
+overhead would cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -187,15 +191,31 @@ class AuditReport:
     tolerance: float
 
 
-def random_convex_curve(rng) -> CostCurve:
-    """Random admissible bid: 1-3 segments, log-uniform prices, bounded cap."""
-    import numpy as np  # the audit's draws only; see the module docstring
+# Log-price ranges of the audit's draws: bids are log-uniform in [0.1, 20],
+# deviation factors in [0.25, 4].
+_LOG_PRICE_LO = math.log(0.1)
+_LOG_PRICE_SPAN = math.log(20.0) - _LOG_PRICE_LO
+_LOG_FACTOR_LO = math.log(0.25)
+_LOG_FACTOR_SPAN = math.log(4.0) - _LOG_FACTOR_LO
 
+
+def random_convex_curve(rng) -> CostCurve:
+    """Random admissible bid: 1-3 segments, log-uniform prices, bounded cap.
+
+    The widths split a cap uniform in [1, 50] by a flat Dirichlet draw. The
+    draws and their arithmetic are numpy's own: ``uniform(a, b)`` is
+    ``a + (b - a) * random()``, and ``dirichlet(ones(n))`` scales n standard
+    exponentials by the reciprocal of their left-to-right sum.
+    """
     n_seg = int(rng.integers(1, 4))
-    prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
-    cap = rng.uniform(1.0, 50.0)
-    widths = cap * rng.dirichlet(np.ones(n_seg))
-    return CostCurve(segments=tuple((float(w), float(p)) for w, p in zip(widths, prices)))
+    prices = sorted(math.exp(_LOG_PRICE_LO + _LOG_PRICE_SPAN * u) for u in rng.random(n_seg).tolist())
+    cap = 1.0 + 49.0 * rng.random()
+    draws = rng.standard_exponential(n_seg).tolist()
+    acc = 0.0
+    for e in draws:  # not sum(): from Python 3.12 it compensates, numpy does not
+        acc += e
+    inv = 1.0 / acc
+    return CostCurve(segments=tuple((cap * (e * inv), p) for e, p in zip(draws, prices)))
 
 
 def deviation_curve(rng, curve: CostCurve) -> CostCurve:
@@ -205,12 +225,10 @@ def deviation_curve(rng, curve: CostCurve) -> CostCurve:
     over-bidding; prices are re-sorted so the deviation stays an
     admissible convex message.
     """
-    import numpy as np  # the audit's draws only; see the module docstring
-
-    widths = [w for w, _ in curve.segments]
-    factors = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=len(widths)))
-    prices = sorted(p * f for (_, p), f in zip(curve.segments, factors))
-    return CostCurve(segments=tuple((w, float(p)) for w, p in zip(widths, prices)))
+    segments = curve.segments
+    draws = rng.random(len(segments)).tolist()
+    prices = sorted(p * math.exp(_LOG_FACTOR_LO + _LOG_FACTOR_SPAN * u) for (_, p), u in zip(segments, draws))
+    return CostCurve(segments=tuple((w, p) for (w, _), p in zip(segments, prices)))
 
 
 def _trial_utilities(market, k: int, deviation: CostCurve, gamma: float):

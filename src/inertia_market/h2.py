@@ -16,18 +16,20 @@ Three routes are provided and cross-validated against each other:
   block-partitioned output weights, finite even where the exact metric is
   non-convex in m.
 
-Every route is dense linear algebra on numpy, and each function imports
-numpy when it runs, so importing this module, the package or the CLI
-loads none: the numpy import costs more than the rest of the package
-together, and the planner, the auction and the worst-case metric never
-use it. Of the CLI commands, only ``h2`` loads numpy. The Gramian route
-solves its Lyapunov equation with numpy alone (Newton's iteration on the
-matrix sign function) rather than with scipy, whose import costs more
-than numpy's and would dominate that command's run time.
+The closed form is a plain sum. The other routes are dense linear algebra
+on numpy, and each of their functions imports numpy when it runs, so
+importing this module, the package or the CLI loads none: the numpy import
+costs more than the rest of the package together, and the planner, the
+auction and the worst-case metric never use it. Of the CLI commands, only
+``h2 --method gramian`` and ``h2 --method upper-bound`` load numpy. The
+Gramian route solves its Lyapunov equation with numpy alone (Newton's
+iteration on the matrix sign function) rather than with scipy, whose
+import costs more than numpy's and would dominate that command's run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -202,21 +204,21 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
     Linear in ``pi``, convex and strictly decreasing in each m_i with
     positive pi_i. ``kappa=2`` matches the Gramian value exactly; the
     default ``kappa=1`` is the convention consumed by the planner and the
-    market, where the factor folds into the disturbance budget.
+    market, where the factor folds into the disturbance budget. ``m`` and
+    ``pi`` are sequences of reals; the sum is exactly rounded and loads no
+    numpy.
     """
-    import numpy as np
-
     if kappa not in (1, 2):
         raise ValueError(f"kappa must be 1 or 2, got {kappa!r}")
-    m = np.asarray(m, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if np.any(m <= 0):
+    m = tuple(map(float, m))
+    pi = tuple(map(float, pi))
+    if any(x <= 0 for x in m):
         raise GridError("inertia entries must be positive")
-    if pi.shape != m.shape:
-        raise GridError(f"pi has shape {pi.shape}, expected {m.shape}")
-    if np.any(pi < 0):
+    if len(pi) != len(m):
+        raise GridError(f"pi has shape ({len(pi)},), expected ({len(m)},)")
+    if any(p < 0 for p in pi):
         raise GridError("disturbance strengths must be nonnegative")
-    return float(np.sum(pi * (1.0 / (kappa * m))))
+    return math.fsum(p * (1.0 / (kappa * x)) for p, x in zip(pi, m))
 
 
 def _split_block_weight(Q, n: int):

@@ -51,17 +51,22 @@ class CostCurve:
         if not self.segments:
             raise ScenarioError("cost curve needs at least one segment")
         last_price = -math.inf
-        for k, (width, price) in enumerate(self.segments):
-            if not (math.isfinite(width) and width > 0):
-                raise ScenarioError(f"segment {k}: width must be positive and finite, got {width!r}")
-            if not (math.isfinite(price) and price >= 0):
-                raise ScenarioError(f"segment {k}: price must be nonnegative and finite, got {price!r}")
-            if price < last_price:
-                raise ScenarioError(
-                    "marginal prices must be nondecreasing (convexity), "
-                    f"segment {k} has {price!r} after {last_price!r}"
-                )
-            last_price = price
+        try:
+            for k, (width, price) in enumerate(self.segments):
+                if not (math.isfinite(width) and width > 0):
+                    raise ScenarioError(f"segment {k}: width must be positive and finite, got {width!r}")
+                if not (math.isfinite(price) and price >= 0):
+                    raise ScenarioError(f"segment {k}: price must be nonnegative and finite, got {price!r}")
+                if price < last_price:
+                    raise ScenarioError(
+                        "marginal prices must be nondecreasing (convexity), "
+                        f"segment {k} has {price!r} after {last_price!r}"
+                    )
+                last_price = price
+        except TypeError as exc:  # math.isfinite on a str, None, ...
+            raise ScenarioError(
+                f"segments must be (width, price) pairs of real numbers, got {self.segments!r}"
+            ) from exc
 
     @property
     def cap(self) -> float:

@@ -29,7 +29,11 @@ class DisturbanceBudget:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.pi_tot) and self.pi_tot >= 0):
+        try:
+            valid = math.isfinite(self.pi_tot) and self.pi_tot >= 0
+        except TypeError:  # a str, None, ...: not a real number
+            valid = False
+        if not valid:
             raise GridError(f"pi_tot must be nonnegative and finite, got {self.pi_tot!r}")
         if not hasattr(self.n, "__index__") or self.n < 1:  # ints, numpy's too; no floats
             raise GridError(f"budget dimension must be an integer of at least 1, got {self.n!r}")

@@ -49,6 +49,12 @@ __all__ = [
 FORMAT_VERSION = 1
 TIMESCALES = ("planning", "day-ahead")
 
+# libyaml's parser and emitter when PyYAML was built with it (``import yaml``
+# has already loaded the extension), PyYAML's pure-Python ones otherwise.
+# They read and write scenario files identically; libyaml's are faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass(frozen=True)
 class ScenarioAgent:
@@ -242,7 +248,7 @@ def parse_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -303,7 +309,7 @@ def scenario_document(scn: Scenario) -> dict:
 def emit_scenario(scn: Scenario, path) -> None:
     """Write a scenario back to YAML; parsing the output reproduces it."""
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_document(scn), fh, sort_keys=False)
+        yaml.dump(scenario_document(scn), fh, Dumper=_DUMPER, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ iteration. The audit oracle clears each trial's truthful bid, deviation
 and abstention as three separate markets instead of swaps on one. The
 bus-fill oracle adds up each tier's cost as it fills and splits a tie by
 clipping and re-splitting until no agent clips, instead of reading the
-cumulative knots and splitting in one ascending-width pass.
+cumulative knots and splitting in one ascending-width pass. The audit-draw
+oracles make their draws with numpy's array calls (``uniform``,
+``dirichlet``, ``exp``, ``sort``) instead of post-processing the same
+generator stream in plain Python.
 """
 
 from __future__ import annotations
@@ -363,6 +366,23 @@ def dual_gamma_bisection_oracle(gamma_bar, m0, agents, budget, tol=1e-9, max_ste
         else:
             lo, cost_lo = mid, cost_mid
     raise AssertionError(f"bisection oracle did not converge in {max_steps} steps")
+
+
+def random_convex_curve_oracle(rng):
+    """``random_convex_curve`` by numpy's array calls on the same generator."""
+    n_seg = int(rng.integers(1, 4))
+    prices = np.sort(np.exp(rng.uniform(np.log(0.1), np.log(20.0), size=n_seg)))
+    cap = rng.uniform(1.0, 50.0)
+    widths = cap * rng.dirichlet(np.ones(n_seg))
+    return CostCurve(segments=tuple((float(w), float(p)) for w, p in zip(widths, prices)))
+
+
+def deviation_curve_oracle(rng, curve):
+    """``deviation_curve`` by numpy's array calls on the same generator."""
+    widths = [w for w, _ in curve.segments]
+    factors = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=len(widths)))
+    prices = sorted(p * f for (_, p), f in zip(curve.segments, factors))
+    return CostCurve(segments=tuple((w, float(p)) for w, p in zip(widths, prices)))
 
 
 def incentive_audit_resolve_oracle(true_costs, gamma, m0, budget, trials, seed):

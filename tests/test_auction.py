@@ -28,7 +28,9 @@ from inertia_market.auction import deviation_curve, random_convex_curve
 from inertia_market.planner import _BusSupply
 
 from helpers import (
+    deviation_curve_oracle,
     incentive_audit_resolve_oracle,
+    random_convex_curve_oracle,
     random_market,
     run_auction_hard_resolve_oracle,
     run_auction_resolve_oracle,
@@ -630,6 +632,31 @@ class TestIncentiveAudit:
             assert dev.cap == pytest.approx(curve.cap, rel=1e-12)
             prices = [p for _, p in dev.segments]
             assert prices == sorted(prices)
+
+
+def assert_same_draw(got, want):
+    """Same segment count and widths (so caps), bit for bit; prices within 2 ulp."""
+    assert len(got.segments) == len(want.segments)
+    assert [w for w, _ in got.segments] == [w for w, _ in want.segments]
+    assert got.cap == want.cap
+    for (_, p), (_, q) in zip(got.segments, want.segments):
+        assert abs(p - q) <= 2 * math.ulp(q), (p, q)
+
+
+class TestAuditDrawsMatchNumpyOracle:
+    # numpy's array calls (uniform, dirichlet, exp, sort) on the same
+    # generator are the reference: a numpy upgrade that changed either the
+    # stream or those calls' arithmetic would change every stored audit.
+    @pytest.mark.parametrize("seed", [0, 7, 2024, 699863])
+    def test_same_stream_and_values(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(1500):
+            curve = random_convex_curve(rng)
+            assert_same_draw(curve, random_convex_curve_oracle(ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            dev = deviation_curve(rng, curve)
+            assert_same_draw(dev, deviation_curve_oracle(ref, curve))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def assert_audit_matches_oracle(agents, gamma, m0, budget, trials, seed):

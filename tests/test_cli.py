@@ -410,6 +410,7 @@ def test_import_loads_no_numpy_until_linear_algebra():
         commands = [
             ["validate", case],
             ["worst-case", case],
+            ["h2", case, "--method", "closed"],
             ["plan", case],
             ["plan", case, "--regulatory", "--gamma-bar", "0.29"],
             ["auction", case],
@@ -429,7 +430,7 @@ def test_import_loads_no_numpy_until_linear_algebra():
         """
     )
     result = _run_fresh(script, CASE_FILE)
-    assert result["codes"] == [0] * 8
+    assert result["codes"] == [0] * 9
     assert result["before"] == []
     assert result["after"]
     # The stored benchmark run of the same command (perfbench/refs/cli.json).

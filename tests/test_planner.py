@@ -63,6 +63,11 @@ class TestCostCurve:
         with pytest.raises(ScenarioError, match="finite"):
             CostCurve((segment,))
 
+    @pytest.mark.parametrize("segment", [("1", 1.0), (1.0, None)], ids=["str-width", "none-price"])
+    def test_non_numeric_segment_rejected(self, segment):
+        with pytest.raises(ScenarioError, match="real numbers"):
+            CostCurve((segment,))
+
 
 def bus_fill(agents, target, m0_i):
     """Cost and fills, in ``agents`` order, lifting one bus from ``m0_i`` to ``target``."""

@@ -90,6 +90,11 @@ def test_non_finite_budget_rejected(pi_tot):
         DisturbanceBudget(pi_tot, 2)
 
 
+def test_non_numeric_budget_rejected():
+    with pytest.raises(GridError, match="pi_tot must be nonnegative and finite, got '1'"):
+        DisturbanceBudget("1", 2)
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, "2", 0, -1], ids=["fraction", "float", "str", "zero", "negative"])
 def test_budget_dimension_must_be_a_positive_integer(n):
     with pytest.raises(GridError, match=f"budget dimension must be an integer of at least 1, got {n!r}"):

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from inertia_market import ScenarioError, case_study, emit_scenario, parse_scenario
+from inertia_market import scenario as scenario_module
 from inertia_market.scenario import scenario_document
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -171,6 +172,48 @@ def test_round_trip_case_study(tmp_path):
     np.testing.assert_array_equal(again.m0, scn.m0)
     assert again.grid is not None
     assert again.grid.lines == scn.grid.lines
+
+
+def _yaml_fixtures():
+    """The committed case study and the documents these tests write, as YAML text."""
+    with_cost_and_pi = minimal_doc()
+    with_cost_and_pi["agents"][0]["cost"] = [{"width": 3.0, "price": 0.5}]
+    _with_pi(with_cost_and_pi, [0.5, 1.5])
+    capped = minimal_doc()
+    _with_gamma_bar(capped, 0.3)
+    docs = [minimal_doc(), with_cost_and_pi, capped]
+    committed = (REPO_ROOT / "scenarios" / "case_study.yaml").read_text(encoding="utf-8")
+    return [committed] + [yaml.safe_dump(doc) for doc in docs]
+
+
+libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+@libyaml
+@pytest.mark.parametrize("text", _yaml_fixtures(), ids=["case-study", "minimal", "cost-and-pi", "gamma_bar"])
+def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch, text):
+    path, broken = tmp_path / "scn.yaml", tmp_path / "broken.yaml"
+    path.write_text(text, encoding="utf-8")
+    broken.write_text("agents: [unclosed")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    parsed = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "_LOADER", loader)
+        parsed.append(scenario_document(parse_scenario(path)))
+        with pytest.raises(ScenarioError, match="invalid YAML"):
+            parse_scenario(broken)
+    assert parsed[0] == parsed[1]
+
+
+@libyaml
+def test_libyaml_and_pure_python_dumpers_agree(tmp_path, monkeypatch):
+    written = []
+    for dumper in (yaml.CSafeDumper, yaml.SafeDumper):
+        monkeypatch.setattr(scenario_module, "_DUMPER", dumper)
+        out = tmp_path / f"{dumper.__name__}.yaml"
+        emit_scenario(case_study(), out)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_committed_example_matches_embedded_study():
