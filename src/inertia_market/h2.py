@@ -212,11 +212,11 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
         raise ValueError(f"kappa must be 1 or 2, got {kappa!r}")
     m = tuple(map(float, m))
     pi = tuple(map(float, pi))
-    if any(x <= 0 for x in m):
+    if not all(x > 0 for x in m):  # NaN fails too
         raise GridError("inertia entries must be positive")
     if len(pi) != len(m):
         raise GridError(f"pi has shape ({len(pi)},), expected ({len(m)},)")
-    if any(p < 0 for p in pi):
+    if not all(p >= 0 for p in pi):
         raise GridError("disturbance strengths must be nonnegative")
     return math.fsum(p * (1.0 / (kappa * x)) for p, x in zip(pi, m))
 

@@ -251,9 +251,9 @@ class _Market:
     The same arrays price any change to one agent's bid that does not
     enlarge its bus's supply, an abstention or a re-priced bid: it changes
     C only through that bus's own supply, so its optimum is a short walk
-    from this market's own optimum. A capped abstention keeps the level,
-    so it re-prices that bus's cost alone and re-sums ``fill``'s bus
-    costs.
+    from this market's own optimum (``swapped_level``). A capped
+    abstention keeps the level, so it re-prices that bus's cost alone and
+    re-sums ``fill``'s bus costs.
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
@@ -314,26 +314,15 @@ class _Market:
             return 0.0
         return costs[j] + slopes[j] * (level - pts[j])
 
-    def level(self, weight: float, swap=None) -> float:
+    def level(self, weight: float) -> float:
         """Minimizer of weight / L + C(L) over [min m0, reach cap].
 
         The smallest piece whose right end has a nonnegative derivative
-        holds the minimizer, found by binary search and kept per weight.
-
-        ``swap = (b, supply)`` replaces bus b's supply with any supply no
-        larger than bus b's own, up to rounding, as an abstention or a
-        re-priced bid at bus b does. The reach cap becomes
-        ``min(cap, supply.reach)``: no other bus's reach moves,
-        and re-summing the same widths in another order can come out an
-        ulp above the original. A supply larger beyond rounding raises
-        :class:`ContractError`, since the sweep stops at the cap. The
-        minimizer is then found by a walk from this market's own optimum
-        over the merged breakpoints of ``pts`` and ``supply.starts``.
+        holds the minimizer, found by binary search and kept per weight:
+        ``swapped_level`` starts its walks there.
         """
         if weight <= 0:
             return self.lo
-        if swap is not None:
-            return self._walk(weight, *swap)
         if weight not in self._levels:
             pts, slopes, _ = self._sweep()
             first = bisect_left(
@@ -345,24 +334,29 @@ class _Market:
                 self._levels[weight] = min(max(math.sqrt(weight / slopes[first]), pts[first]), pts[first + 1])
         return self._levels[weight]
 
-    def _walk(self, weight: float, b: int, supply: "_BusSupply") -> float:
-        """``level(weight, swap=(b, supply))``, by a walk from ``level(weight)``.
+    def swapped_level(self, weight: float, b: int, supply: "_BusSupply") -> float:
+        """Minimizer of weight / L + C(L) with bus b's supply replaced by ``supply``.
+
+        ``supply`` may be any supply no larger than bus b's own, up to
+        rounding, as an abstention or a re-priced bid at bus b is. The
+        reach cap becomes ``min(cap, supply.reach)``: no other bus's reach
+        moves, and re-summing the same widths in another order can come out
+        an ulp above the original. A supply larger beyond rounding raises
+        :class:`ContractError`, since the sweep stops at the cap.
 
         The swapped cost's sub-pieces lie between the merged breakpoints of
-        ``pts`` and ``supply.starts``: where piece i of the sweep meets tier
-        t - 1 of ``supply``, the slope is the sweep's with bus b's old price
-        swapped for that tier's. From the sub-piece holding this market's
-        own optimum, the walk goes right while the derivative at a
-        sub-piece's right end is negative, or left while it is not negative
-        at its left end and the next sub-piece down still rises. It clamps
-        the stationary point to the sub-piece where it stops: the lowest
-        with a nonnegative derivative at its right end, as the binary search
-        finds. Removing supply only raises slopes, so an abstention's walk
-        stays or goes left. A sub-piece narrower than rounding
-        is skipped: a swapped start and the sweep's breakpoint for the same
-        knot, re-summed, can differ by an ulp, and the slope between them
-        mixes the tiers on either side.
+        ``pts`` and ``supply.starts``; ``sub_piece`` finds the one beside a
+        level by bisection. From the sub-piece just right of
+        ``level(weight)``, clamped to the cap, the walk steps right while
+        the derivative at the right end is negative, then left while it is
+        not negative at the left end. The minimizer is the right end if the
+        derivative is still negative there, else the stationary point
+        clamped to the sub-piece. Each step is a local convexity check, so
+        a sub-piece one ulp wide, where a re-summed start falls beside the
+        sweep's breakpoint for the same knot, is walked like any other.
         """
+        if weight <= 0:
+            return self.lo
         old = self.supplies[b]
         if supply.capacity - old.capacity > 1e-9 * max(1.0, old.capacity):
             raise ContractError(
@@ -373,40 +367,24 @@ class _Market:
             return top
         pts, slopes, _ = self._sweep()
         starts, prices, n = supply.starts, supply.prices, len(supply.starts)
-        x = min(self.level(weight), top)
-        i, t = min(bisect_right(pts, x), len(slopes)) - 1, bisect_right(starts, x)
-        move, found = 0, None  # move 1 is right, -1 left, 0 right until a sub-piece decides
-        while True:
+
+        def sub_piece(x, right):
+            """Sub-piece (a, e, slope) just right of ``x``, or just left of it."""
+            side = bisect_right if right else bisect_left
+            i, t = min(side(pts, x), len(slopes)) - 1, side(starts, x)
             a = max(pts[i], starts[t - 1]) if t else pts[i]
             e = min(pts[i + 1], starts[t], top) if t < n else min(pts[i + 1], top)
-            if e - a > 1e-12 * e:
-                # Every old start below the cap is a breakpoint, so bus b's old price is the one at pts[i].
-                s = slopes[i] + (prices[t - 1] if t else 0.0) - old.price_at(pts[i])
-                if s < weight / (e * e):  # the derivative is negative at e: the minimizer lies above
-                    if move < 0:
-                        break
-                    move = 1
-                else:
-                    found = a, e, s
-                    # Walking right, this is the first sub-piece that rises. Falling at a,
-                    # it holds the minimizer: slopes only fall further below a.
-                    if move > 0 or s < weight / (a * a):
-                        break
-                    move = -1
-            # Step over the breakpoint at a or e: a sweep breakpoint moves i, a swapped start t, or both.
-            if move < 0:
-                if a <= lo:
-                    break
-                i, t = i - (a == pts[i]), t - (t > 0 and a == starts[t - 1])
-            elif e < top:
-                i, t = i + (e == pts[i + 1]), t + (t < n and e == starts[t])
-            elif move > 0:
-                break
-            else:  # only sub-pieces narrower than rounding lie between x and top
-                move = -1
-        if found is None:
-            return top
-        a, e, s = found
+            # Every old start below the cap is a breakpoint, so bus b's old price is the one at pts[i].
+            return a, e, slopes[i] + (prices[t - 1] if t else 0.0) - old.price_at(pts[i])
+
+        x = min(self.level(weight), top)
+        a, e, s = sub_piece(x, True)
+        while s < weight / (e * e) and e < top:
+            a, e, s = sub_piece(e, True)
+        while s >= weight / (a * a) and a > lo:
+            a, e, s = sub_piece(a, False)
+        if s < weight / (e * e):
+            return e
         return min(max(math.sqrt(weight / s), a), e)
 
     def required_level(self, gamma_bar: float) -> float:
@@ -466,12 +444,12 @@ class _Market:
         """Optimal trade-off objective and agent ``k``'s quantity with k bidding ``curve``.
 
         ``curve=None`` means agent k abstains (quantity 0). Either way only
-        k's bus changes, so this is one walk from this market's optimum on
-        its sweep.
+        k's bus changes, so its level is one ``swapped_level`` walk from
+        this market's optimum on its sweep.
         """
         b = self.agents[k].bus
         supply = self.supplies[b].swapped(k, curve)
-        level = self.level(weight, swap=(b, supply))
+        level = self.swapped_level(weight, b, supply)
         q = level - supply.m0
         objective = weight / level + self.cost(level) - self.supplies[b].cost_at(q) + supply.cost_at(q)
         return objective, 0.0 if curve is None else supply.fill(q)[k]

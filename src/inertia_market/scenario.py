@@ -251,6 +251,8 @@ def parse_scenario(path) -> Scenario:
             doc = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the file handle decodes as either loader reads
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     return _build_scenario(doc, origin=str(path))

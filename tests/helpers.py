@@ -16,10 +16,16 @@ clipping and re-splitting until no agent clips, instead of reading the
 cumulative knots and splitting in one ascending-width pass. The audit-draw
 oracles make their draws with numpy's array calls (``uniform``,
 ``dirichlet``, ``exp``, ``sort``) instead of post-processing the same
-generator stream in plain Python.
+generator stream in plain Python. The swapped-level oracle steps over
+the merged breakpoints by a pair of indices and skips sub-pieces
+narrower than rounding, instead of looking each sub-piece up from a
+level.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -422,3 +428,56 @@ def incentive_audit_resolve_oracle(true_costs, gamma, m0, budget, trials, seed):
         mean_deviation_utility=sum_dev / trials,
         tolerance=AUDIT_TOL,
     )
+
+
+def swapped_level_index_walk_oracle(market, weight, b, supply):
+    """``market.swapped_level(weight, b, supply)`` by the earlier index-pair walk.
+
+    Steps over the merged breakpoints of the sweep's ``pts`` and
+    ``supply.starts`` by a pair of indices (piece i of the sweep, tier
+    t - 1 of the supply), right while the derivative at a sub-piece's
+    right end is negative, or left while it is not negative at its left
+    end and the next sub-piece down still rises. It skips sub-pieces
+    narrower than ``1e-12`` of their right end, and clamps the stationary
+    point to the lowest sub-piece with a nonnegative derivative at its
+    right end. No supply size check.
+    """
+    if weight <= 0:
+        return market.lo
+    old = market.supplies[b]
+    lo, top = market.lo, min(market.cap, supply.reach)
+    if top <= lo:
+        return top
+    pts, slopes, _ = market._sweep()
+    starts, prices, n = supply.starts, supply.prices, len(supply.starts)
+    x = min(market.level(weight), top)
+    i, t = min(bisect_right(pts, x), len(slopes)) - 1, bisect_right(starts, x)
+    move, found = 0, None  # move 1 is right, -1 left, 0 right until a sub-piece decides
+    while True:
+        a = max(pts[i], starts[t - 1]) if t else pts[i]
+        e = min(pts[i + 1], starts[t], top) if t < n else min(pts[i + 1], top)
+        if e - a > 1e-12 * e:
+            s = slopes[i] + (prices[t - 1] if t else 0.0) - old.price_at(pts[i])
+            if s < weight / (e * e):
+                if move < 0:
+                    break
+                move = 1
+            else:
+                found = a, e, s
+                if move > 0 or s < weight / (a * a):
+                    break
+                move = -1
+        if move < 0:
+            if a <= lo:
+                break
+            i, t = i - (a == pts[i]), t - (t > 0 and a == starts[t - 1])
+        elif e < top:
+            i, t = i + (e == pts[i + 1]), t + (t < n and e == starts[t])
+        elif move > 0:
+            break
+        else:
+            move = -1
+    if found is None:
+        return top
+    a, e, s = found
+    return min(max(math.sqrt(weight / s), a), e)

@@ -253,6 +253,15 @@ def test_non_numeric_scenario_value_exit_one(capsys, tmp_path, old, new, field):
     assert err.startswith("error:") and f"{field} must be a number" in err
 
 
+def test_non_utf8_scenario_exit_one(capsys, tmp_path):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"name: \xff\xfe\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not UTF-8 text" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["validate"], ["h2", "--method", "upper-bound"], ["h2", "--method", "gramian"]],

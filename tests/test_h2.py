@@ -1,5 +1,7 @@
 """H2 metric: constrained Gramian, closed form, and the convex upper bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,18 @@ class TestClosedForm:
     def test_kappa_validation(self):
         with pytest.raises(ValueError, match="kappa"):
             h2_primary_effort_closed([1.0], [1.0], kappa=3)
+
+    @pytest.mark.parametrize(
+        "m, pi, message",
+        [
+            ([math.nan, 1.0], [1.0, 1.0], "inertia entries must be positive"),
+            ([1.0], [math.nan], "disturbance strengths must be nonnegative"),
+        ],
+        ids=["nan-inertia", "nan-strength"],
+    )
+    def test_nan_rejected(self, m, pi, message):
+        with pytest.raises(GridError, match=message):
+            h2_primary_effort_closed(m, pi)
 
 
 class TestUpperBound:

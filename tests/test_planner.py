@@ -24,9 +24,16 @@ from inertia_market import (
     solve_centralized_soft,
     worst_case_metric,
 )
+from inertia_market.auction import deviation_curve
 from inertia_market.planner import _BusSupply, _Market
 
-from helpers import bus_fill_resplit_oracle, dual_gamma_bisection_oracle, grid_search_objective, random_market
+from helpers import (
+    bus_fill_resplit_oracle,
+    dual_gamma_bisection_oracle,
+    grid_search_objective,
+    random_market,
+    swapped_level_index_walk_oracle,
+)
 
 LEVEL = 10.0 / 0.29  # required level of the bundled study
 
@@ -499,14 +506,9 @@ class TestSwapOptimum:
             assert swapped == pytest.approx(objective, rel=1e-12)
             assert q_swapped == pytest.approx(q, rel=1e-12, abs=1e-15)
 
-    def test_deviation_with_a_swapped_start_one_ulp_below_a_breakpoint(self):
-        # Trial 13 of the benchmark's audit instance 46 (perfbench/markets.py),
-        # on one bus. a0's deviation moves its first two segments above a3's,
-        # so the bus re-sums the same three widths in another order, and that
-        # knot starts a swapped tier one ulp below the sweep's breakpoint
-        # 27.9606. The base optimum lies above it and the swapped optimum two
-        # sub-pieces below: a walk that takes its direction from the one-ulp
-        # sub-piece can stop at the breakpoint instead.
+    @staticmethod
+    def audit_instance_46():
+        """Trial 13 of the benchmark's audit instance 46 (perfbench/markets.py), on one bus."""
         bids = [
             ((4.071292364064442, 0.2016982176493389), (2.736382906302997, 0.23153810669646432),
              (4.073068675313897, 0.42926856567458405)),
@@ -523,6 +525,16 @@ class TestSwapOptimum:
         )
         m0, budget = np.array([2.4694230969120254]), DisturbanceBudget(12.548090775367303, 1)
         gamma = 32.20903042649134
+        return agents, deviation, m0, budget, gamma
+
+    def test_deviation_with_a_swapped_start_one_ulp_below_a_breakpoint(self):
+        # a0's deviation moves its first two segments above a3's,
+        # so the bus re-sums the same three widths in another order, and that
+        # knot starts a swapped tier one ulp below the sweep's breakpoint
+        # 27.9606. The base optimum lies above it and the swapped optimum two
+        # sub-pieces below: a walk that takes its direction from the one-ulp
+        # sub-piece can stop at the breakpoint instead.
+        agents, deviation, m0, budget, gamma = self.audit_instance_46()
         market = _Market(m0, agents, budget)
         weight = market.weight(gamma)
         pts, _, _ = market._sweep()
@@ -531,7 +543,7 @@ class TestSwapOptimum:
         assert market.level(weight) > pts[3]
         alloc, want_q = self.resolve(agents, 0, deviation, gamma, m0, budget)
         assert round(alloc.level, 4) == 26.4873
-        assert market.level(weight, swap=(0, supply)) == pytest.approx(alloc.level, rel=1e-12)
+        assert market.swapped_level(weight, 0, supply) == pytest.approx(alloc.level, rel=1e-12)
         objective, q = market.swap_optimum(0, weight, deviation)
         assert objective == pytest.approx(alloc.objective, rel=1e-12)
         assert q == pytest.approx(want_q, rel=1e-12)
@@ -541,10 +553,108 @@ class TestSwapOptimum:
         market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
         larger = _BusSupply(1.0, [(0, CostCurve.linear(1.0, 2.0 + 1e-6))])
         with pytest.raises(ContractError, match="exceeds bus 0"):
-            market.level(5.0, swap=(0, larger))
+            market.swapped_level(5.0, 0, larger)
 
     def test_swapped_supply_one_ulp_larger_stops_at_the_cap(self):
         agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", 1, CostCurve.linear(1.0, 3.0))]
         market = _Market(np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2))
         ulp_larger = _BusSupply(1.0, [(0, CostCurve.linear(1.0, math.nextafter(2.0, math.inf)))])
-        assert market.level(1e6, swap=(0, ulp_larger)) == market.cap == 3.0
+        assert market.swapped_level(1e6, 0, ulp_larger) == market.cap == 3.0
+
+    @staticmethod
+    def cap_market():
+        # Bus 0 lifts to 3 at price 0.25 (A) and on to 5 at price 1 (B), so
+        # it sets the reach cap 5; bus 1 lifts to 3 at 0.5 and on to 6 at 3.
+        # The sweep's breakpoints are 1, 3 and 5, with slopes 0.75 and 4.
+        agents = [
+            Agent("A", 0, CostCurve.linear(0.25, 2.0)),
+            Agent("B", 0, CostCurve.linear(1.0, 2.0)),
+            Agent("C", 1, CostCurve(((2.0, 0.5), (3.0, 3.0)))),
+        ]
+        return np.array([1.0, 1.0]), agents, DisturbanceBudget(1.0, 2)
+
+    @pytest.mark.parametrize(
+        "k, curve, gamma, base, want",
+        [
+            # Without A, bus 0 reaches only 3.0, a breakpoint of the sweep: the
+            # walk starts on the empty sub-piece at 3.0, from a base optimum at
+            # the reach cap and from one exactly at 3.0.
+            (0, None, 150.0, 5.0, 3.0),
+            (0, None, 9.375, 3.0, math.sqrt(9.375 / 1.5)),
+            # Bus 1 re-bids; the cap stays 5.0, where the base optimum sits.
+            (2, CostCurve(((2.0, 0.25), (3.0, 1.5))), 150.0, 5.0, 5.0),
+            (2, CostCurve(((2.0, 1.0), (3.0, 6.0))), 150.0, 5.0, math.sqrt(150.0 / 7.0)),
+            (2, CostCurve(((2.0, 20.0), (3.0, 120.0))), 150.0, 5.0, math.sqrt(150.0 / 20.25)),
+        ],
+        ids=["abstain-base-at-cap", "abstain-base-at-top", "cheaper", "dearer", "dearer-two-pieces-down"],
+    )
+    def test_walk_from_the_cap(self, k, curve, gamma, base, want):
+        m0, agents, budget = self.cap_market()
+        market = _Market(m0, agents, budget)
+        weight = market.weight(gamma)
+        assert market._sweep()[0] == [1.0, 3.0, 5.0] and market.cap == 5.0
+        assert market.level(weight) == base
+        b = agents[k].bus
+        supply = market.supplies[b].swapped(k, curve)
+        got = market.swapped_level(weight, b, supply)
+        assert got == want == swapped_level_index_walk_oracle(market, weight, b, supply)
+        alloc, _ = self.resolve(agents, k, curve, gamma, m0, budget)
+        assert got == pytest.approx(alloc.level, rel=1e-15)
+
+
+def scaled_prices(curve, factor):
+    return CostCurve(tuple((width, price * factor) for width, price in curve.segments))
+
+
+def test_swapped_level_matches_the_index_walk_oracle():
+    # Abstentions, re-bids at half and twice the prices, and audit
+    # deviations: on small markets, half on a tied price grid, and on 50-80
+    # agents crowded onto 1-2 buses, half of those tied with every width
+    # 0.3. The index walk skipped sub-pieces narrower than 1e-12 of their
+    # end. Where a re-priced bus re-sums a knot up to 2 ulps below the
+    # sweep's breakpoint and the minimizer is that kink, it returned the
+    # breakpoint, and this walk the swapped start, which is also the level
+    # of a re-solve with the bid in place.
+    rng = np.random.default_rng(17)
+    shapes = [
+        {},
+        {"price_grid": (0.0, 0.5, 1.0, 2.0, 5.0)},
+        {"max_buses": 2, "min_agents": 50, "max_agents": 80},
+        {"max_buses": 2, "min_agents": 50, "max_agents": 80, "price_grid": (0.0, 1.0, 2.0, 5.0),
+         "width_grid": (0.3,)},
+    ]
+    checked, moved = 0, 0
+    for draw in range(80):
+        m0, agents, budget = random_market(rng, **shapes[draw % 4])
+        market = _Market(m0, agents, budget)
+        pts, _, _ = market._sweep()
+        for gamma in np.exp(rng.uniform(np.log(0.1), np.log(5000.0), size=3)):
+            weight = market.weight(float(gamma))
+            for k in rng.choice(len(agents), size=min(len(agents), 4), replace=False):
+                k, b, own = int(k), agents[k].bus, agents[k].curve
+                for curve in (None, scaled_prices(own, 0.5), scaled_prices(own, 2.0), deviation_curve(rng, own)):
+                    supply = market.supplies[b].swapped(k, curve)
+                    got = market.swapped_level(weight, b, supply)
+                    want = swapped_level_index_walk_oracle(market, weight, b, supply)
+                    checked += 1
+                    if got == want:
+                        continue
+                    moved += 1
+                    assert curve is not None and got in supply.starts and want in pts
+                    up = math.nextafter(got, math.inf)
+                    assert want in (up, math.nextafter(up, math.inf))
+                    alloc, _ = TestSwapOptimum.resolve(agents, k, curve, float(gamma), m0, budget)
+                    assert got == alloc.level
+    assert checked >= 1000 and moved < checked // 100
+
+
+def test_audit_instance_46_matches_the_index_walk_oracle():
+    agents, deviation, m0, budget, gamma = TestSwapOptimum.audit_instance_46()
+    market = _Market(m0, agents, budget)
+    for scale in (0.25, 1.0, 4.0):
+        weight = market.weight(gamma * scale)
+        for k, ag in enumerate(agents):
+            for curve in (None, ag.curve, deviation if k == 0 else scaled_prices(ag.curve, 1.5)):
+                supply = market.supplies[0].swapped(k, curve)
+                want = swapped_level_index_walk_oracle(market, weight, 0, supply)
+                assert market.swapped_level(weight, 0, supply) == want

@@ -205,6 +205,15 @@ def test_libyaml_and_pure_python_loaders_agree(tmp_path, monkeypatch, text):
     assert parsed[0] == parsed[1]
 
 
+@pytest.mark.parametrize("loader", [pytest.param("CSafeLoader", marks=libyaml), "SafeLoader"])
+def test_non_utf8_file_is_a_scenario_error(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(scenario_module, "_LOADER", getattr(yaml, loader))
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"name: \xff\xfe\n")
+    with pytest.raises(ScenarioError, match="not UTF-8 text"):
+        parse_scenario(path)
+
+
 @libyaml
 def test_libyaml_and_pure_python_dumpers_agree(tmp_path, monkeypatch):
     written = []
