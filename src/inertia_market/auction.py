@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AuditError, GridError, InfeasibleError
+from .errors import AuditError, GridError, InfeasibleError, NumericsError, count, real, reals
 from .planner import Agent, Allocation, CostCurve, _Market
 from .robust import DisturbanceBudget
 
@@ -105,6 +105,7 @@ def _outcome(bids, base: Allocation, excl_objs, gamma: float, mode: str, true_co
     """Pay each agent its externality against ``base`` and, given true costs, its utility."""
     if true_costs is not None and len(true_costs) != len(bids):
         raise GridError(f"true_costs has {len(true_costs)} curves for {len(bids)} bids")
+    real(max(excl_objs, default=0.0), "exclusion objective")  # finite ones keep every payment finite
     payments = tuple(
         _externality_payment(excl, base.objective, ag.curve.value(q))
         for excl, ag, q in zip(excl_objs, bids, base.mu)
@@ -133,10 +134,10 @@ def run_auction(bids, gamma, m0, budget: DisturbanceBudget, true_costs=None) -> 
     agent's abstention changes nothing, so its exclusion objective is the
     base objective and its payment exactly zero.
     """
-    gamma = float(gamma)
     market = _Market(m0, bids, budget)
     base = market.solve(gamma)
     weight = market.weight(gamma)
+    gamma = float(gamma)
     excl_objs = [
         market.swap_optimum(k, weight)[0] if q > 0 else base.objective for k, q in enumerate(base.mu)
     ]
@@ -231,15 +232,14 @@ def deviation_curve(rng, curve: CostCurve) -> CostCurve:
     return CostCurve(segments=tuple((w, p) for (w, _), p in zip(segments, prices)))
 
 
-def _trial_utilities(market, k: int, deviation: CostCurve, gamma: float):
-    """Agent ``k``'s utilities from bidding truthfully and from ``deviation``.
+def _trial_utilities(market, k: int, deviation: CostCurve, weight: float):
+    """Agent ``k``'s utilities from bidding truthfully and from ``deviation``, at ``market.weight(gamma)``.
 
     ``market`` holds the trial's bids with k bidding its true curve, so its
     own optimum is the truthful plan. The abstention and the deviation
     change only k's bus, so each is a walk from that optimum on the same
     sweep. Both bids are paid against the same abstention objective.
     """
-    weight = market.weight(gamma)
     true_cost = market.agents[k].curve
     truthful = market.optimum(k, weight)
     excl_obj, _ = market.swap_optimum(k, weight)
@@ -263,15 +263,13 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
     """
     import numpy as np  # the audit's draws only; see the module docstring
 
-    if not hasattr(trials, "__index__") or trials < 1:  # ints, numpy's too; no floats
-        raise GridError(f"trials must be an integer of at least 1, got {trials!r}")
-    if not hasattr(seed, "__index__") or seed < 0:
-        raise GridError(f"seed must be a non-negative integer, got {seed!r}")
-    if not true_costs:
-        raise GridError("the audit needs at least one agent")
-    gamma = float(gamma)
+    trials = count(trials, "trials", least=1)
+    seed = count(seed, "seed", least=0)
+    if not true_costs or not all(isinstance(ag, Agent) for ag in true_costs):
+        raise GridError(f"the audit needs one agent or more, each an Agent, got {true_costs!r}")
+    gamma = real(gamma, "gamma", positive=True)
     rng = np.random.default_rng(seed)
-    m0 = tuple(map(float, m0))
+    m0 = reals(m0, "residual inertia", positive=True)
     n_agents = len(true_costs)
     max_violation = -math.inf
     sum_truth = 0.0
@@ -283,7 +281,10 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
             for j, ag in enumerate(true_costs)
         ]
         deviation = deviation_curve(rng, true_costs[k].curve)
-        u_truth, u_dev = _trial_utilities(_Market(m0, bids, budget), k, deviation, gamma)
+        market = _Market(m0, bids, budget)
+        if not trial:
+            weight = market.weight(gamma)  # it reads only gamma, pi_tot and min(m0), as every trial's would
+        u_truth, u_dev = _trial_utilities(market, k, deviation, weight)
         violation = u_dev - u_truth
         max_violation = max(max_violation, violation)
         sum_truth += u_truth
@@ -292,8 +293,8 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
             instance = {
                 "trial": trial,
                 "agent": true_costs[k].id,
-                "gamma": float(gamma),
-                "pi_tot": float(budget.pi_tot),
+                "gamma": gamma,
+                "pi_tot": budget.pi_tot,
                 "m0": list(m0),
                 "bids": [
                     {"id": ag.id, "bus": int(ag.bus), "segments": list(map(list, ag.curve.segments))}
@@ -308,6 +309,8 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
                 f"{true_costs[k].id!r} on trial {trial}",
                 instance=instance,
             )
+    # weight() keeps each utility finite; their sums over the trials can still overflow.
+    real(abs(max_violation) + abs(sum_truth) + abs(sum_dev), "summed audit utilities", error=NumericsError)
     return AuditReport(
         trials=trials,
         max_violation=max_violation,

@@ -5,6 +5,8 @@ CLI exit code 1, numerical failures (non-convergence, stability violations)
 to exit code 2.
 """
 
+import math
+
 
 class InertiaMarketError(Exception):
     """Base class for all package errors."""
@@ -47,3 +49,43 @@ class AuditError(InertiaMarketError):
     def __init__(self, message, instance=None):
         super().__init__(message)
         self.instance = instance
+
+
+def reals(xs, what, *, positive=False, error=GridError) -> tuple:
+    """``xs`` as a tuple of finite floats, nonnegative (positive with ``positive``), or ``error``.
+
+    A real is anything ``float()`` takes but a bool or a string; -0.0 reads
+    as 0.0. The error names the first value that fails, or ``xs``.
+    """
+    values = []
+    x = xs
+    try:
+        for x in xs:
+            v = math.nan if isinstance(x, (bool, str, bytes)) else float(x)
+            if not (0.0 < v < math.inf if positive else 0.0 <= v < math.inf):  # NaN fails both
+                break
+            values.append(v + 0.0)
+        else:
+            return tuple(values)
+    except (TypeError, ValueError):  # xs is not iterable, or float() refuses x
+        pass
+    raise error(f"{what} must be {'positive' if positive else 'nonnegative'} and finite, got {x!r}")
+
+
+def real(x, what, *, positive=False, error=GridError) -> float:
+    """One value as ``reals`` reads it."""
+    return reals((x,), what, positive=positive, error=error)[0]
+
+
+def count(x, what, *, least, error=GridError) -> int:
+    """``x`` as an int of at least ``least``: an integer (numpy's too), not a bool or a float."""
+    if not isinstance(x, bool) and hasattr(x, "__index__") and x.__index__() >= least:
+        return x.__index__()
+    raise error(f"{what} must be an integer of at least {least}, got {x!r}")
+
+
+def number(raw) -> float:
+    """``float(raw)`` for a number read from a file, such as text '1e3'; a bool raises ``TypeError``."""
+    if isinstance(raw, bool):
+        raise TypeError(f"a bool is not a number: {raw!r}")
+    return float(raw)

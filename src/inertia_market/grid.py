@@ -22,11 +22,10 @@ never load it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GridError
+from .errors import GridError, number, real, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,16 +74,15 @@ def build_grid(raw: dict) -> Grid:
     for k, entry in enumerate(buses):
         try:
             labels.append(str(entry["label"]))
-            m0.append(float(entry["m0"]))
-            d.append(float(entry["d"]))
+            m0.append(number(entry["m0"]))
+            d.append(number(entry["d"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise GridError(f"buses[{k}]: expected label/m0/d, got {entry!r}") from exc
     if len(set(labels)) != len(labels):
         raise GridError("duplicate bus labels")
     for name, values in (("inertia m0", m0), ("damping d", d)):
         for label, x in zip(labels, values):
-            if not 0 < x < math.inf:  # NaN fails both comparisons
-                raise GridError(f"bus {label!r}: {name} must be positive and finite")
+            real(x, f"bus {label!r}: {name}", positive=True)
     n = len(labels)
 
     index = {lab: k for k, lab in enumerate(labels)}
@@ -94,15 +92,14 @@ def build_grid(raw: dict) -> Grid:
         try:
             i = index[str(entry["from"])]
             j = index[str(entry["to"])]
-            b = float(entry["b"])
+            b = number(entry["b"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GridError(
                 f"lines[{k}]: unknown bus, missing field or non-numeric b in {entry!r}"
             ) from exc
         if i == j:
             raise GridError(f"lines[{k}]: endpoints must be distinct")
-        if not 0 <= b < math.inf:
-            raise GridError(f"lines[{k}]: susceptance must be nonnegative and finite")
+        b = real(b, f"lines[{k}]: susceptance")
         pair = (min(i, j), max(i, j))
         if pair in seen:
             raise GridError(f"lines[{k}]: duplicate line between {labels[i]!r} and {labels[j]!r}")
@@ -174,18 +171,14 @@ def assemble_state_space(grid: Grid, m, pi, C) -> StateSpace:
     """
     import numpy as np
 
-    m = np.asarray(m, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    m = np.array(reals(m, "inertia entries", positive=True))
+    pi = np.array(reals(pi, "disturbance strengths"))
     C = np.asarray(C, dtype=float)
     n = grid.n
     if m.shape != (n,):
         raise GridError(f"inertia vector has shape {m.shape}, expected ({n},)")
-    if np.any(m <= 0):
-        raise GridError("inertia entries must be positive")
     if pi.shape != (n,):
         raise GridError(f"disturbance vector has shape {pi.shape}, expected ({n},)")
-    if np.any(pi < 0):
-        raise GridError("disturbance strengths must be nonnegative")
     if C.ndim != 2 or C.shape[1] != 2 * n:
         raise GridError(f"output matrix has shape {C.shape}, expected (*, {2 * n})")
     v = drift_mode(n)
@@ -209,8 +202,6 @@ def output_matrix_primary_effort(d) -> np.ndarray:
     """Output C = [0, D^(1/2)] penalizing droop-control effort d_i * omega_i^2."""
     import numpy as np
 
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise GridError("damping entries must be positive")
+    d = np.array(reals(d, "damping entries", positive=True))
     n = d.shape[0]
     return np.hstack([np.zeros((n, n)), np.diag(np.sqrt(d))])

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GridError, NumericsError
+from .errors import GridError, NumericsError, real, reals
 from .grid import Grid, StateSpace, drift_mode, laplacian
 
 if TYPE_CHECKING:
@@ -210,15 +210,15 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
     """
     if kappa not in (1, 2):
         raise ValueError(f"kappa must be 1 or 2, got {kappa!r}")
-    m = tuple(map(float, m))
-    pi = tuple(map(float, pi))
-    if not all(x > 0 for x in m):  # NaN fails too
-        raise GridError("inertia entries must be positive")
+    m = reals(m, "inertia entries", positive=True)
+    pi = reals(pi, "disturbance strengths")
     if len(pi) != len(m):
         raise GridError(f"pi has shape ({len(pi)},), expected ({len(m)},)")
-    if not all(p >= 0 for p in pi):
-        raise GridError("disturbance strengths must be nonnegative")
-    return math.fsum(p * (1.0 / (kappa * x)) for p, x in zip(pi, m))
+    what = "closed-form metric sum_i pi_i / (kappa * m_i)"  # 1 / m overflows below 6e-309
+    try:
+        return real(math.fsum(p * (1.0 / (kappa * x)) for p, x in zip(pi, m)), what)
+    except OverflowError:  # fsum's exactly rounded sum of finite terms leaves float range
+        raise GridError(f"{what} overflows") from None
 
 
 def _split_block_weight(Q, n: int):
@@ -252,11 +252,9 @@ def upper_bound_ub(m, grid: Grid, Q) -> float:
     """
     import numpy as np
 
-    m = np.asarray(m, dtype=float)
+    m = np.array(reals(m, "inertia entries", positive=True))
     if m.shape != (grid.n,):
         raise GridError(f"inertia vector has shape {m.shape}, expected ({grid.n},)")
-    if np.any(m <= 0):
-        raise GridError("inertia entries must be positive")
     Q1, Q2 = _split_block_weight(Q, grid.n)
     d_min = float(np.min(grid.d))
     L_pinv = np.linalg.pinv(laplacian(grid))
@@ -267,6 +265,4 @@ def upper_bound_ub(m, grid: Grid, Q) -> float:
 
 def upper_bound_worst(m, grid: Grid, Q, pi_tot: float) -> float:
     """Worst-case bound over the budget polytope: pi_tot * upper_bound_ub."""
-    if pi_tot < 0:
-        raise GridError("disturbance budget must be nonnegative")
-    return pi_tot * upper_bound_ub(m, grid, Q)
+    return real(pi_tot, "disturbance budget pi_tot") * upper_bound_ub(m, grid, Q)

@@ -22,8 +22,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ContractError, GridError, InfeasibleError, ScenarioError
-from .robust import DisturbanceBudget, expand_performance_constraint, worst_case_metric
+from .errors import ContractError, GridError, InfeasibleError, ScenarioError, real, reals
+from .robust import DisturbanceBudget, worst_case_metric
 
 __all__ = [
     "CostCurve",
@@ -40,9 +40,13 @@ class CostCurve:
     """Convex nondecreasing piecewise-linear money-vs-quantity curve.
 
     ``segments`` is an ordered tuple of (width, marginal_price); widths are
-    positive and finite, prices finite, nonnegative and nondecreasing. The
-    curve starts at value 0 for quantity 0 and its capacity is the summed
-    width.
+    positive, prices nonnegative and nondecreasing, and the capacity (the
+    summed width) and its cost are finite. numpy scalars are kept as
+    floats, so float32 cannot lower the precision of the sums. The curve
+    starts at value 0 for quantity 0.
+
+    The checks run inline, not through ``errors.real``: the audit builds a
+    curve per agent per trial.
     """
 
     segments: tuple[tuple[float, float], ...]
@@ -50,12 +54,12 @@ class CostCurve:
     def __post_init__(self):
         if not self.segments:
             raise ScenarioError("cost curve needs at least one segment")
-        last_price = -math.inf
+        last_price = cap = cost = 0.0
         try:
             for k, (width, price) in enumerate(self.segments):
-                if not (math.isfinite(width) and width > 0):
+                if not width > 0:  # NaN fails too; infinities fail the sums' check
                     raise ScenarioError(f"segment {k}: width must be positive and finite, got {width!r}")
-                if not (math.isfinite(price) and price >= 0):
+                if not price >= 0:
                     raise ScenarioError(f"segment {k}: price must be nonnegative and finite, got {price!r}")
                 if price < last_price:
                     raise ScenarioError(
@@ -63,10 +67,16 @@ class CostCurve:
                         f"segment {k} has {price!r} after {last_price!r}"
                     )
                 last_price = price
-        except TypeError as exc:  # math.isfinite on a str, None, ...
+                cap += width
+                cost += width * price
+        except (TypeError, ValueError, ArithmeticError) as exc:  # None, a str, a Decimal, three numbers, ...
             raise ScenarioError(
                 f"segments must be (width, price) pairs of real numbers, got {self.segments!r}"
             ) from exc
+        if not math.isfinite(cap + cost):
+            raise ScenarioError(f"capacity {cap!r} and its cost {cost!r} must be finite")
+        if type(cap) is not float or type(cost) is not float:  # numpy scalars carried into the sums
+            object.__setattr__(self, "segments", tuple((float(w), float(p)) for w, p in self.segments))
 
     @property
     def cap(self) -> float:
@@ -234,8 +244,11 @@ class _BusSupply:
 
 
 def _beyond(level, reach):
-    """Whether ``level`` lies above ``reach`` by more than rounding."""
-    return level > reach and level - reach > 1e-9 * max(1.0, level)
+    """Whether ``level`` lies above ``reach`` by more than rounding, relative to ``reach``.
+
+    An infinite level always does, and a reach below 1 gets no absolute slack.
+    """
+    return level > reach and level - reach > 1e-9 * reach
 
 
 class _Market:
@@ -257,22 +270,25 @@ class _Market:
     """
 
     def __init__(self, m0, agents, budget, excluded=frozenset()):
-        m0 = tuple(map(float, m0))
+        m0 = reals(m0, "residual inertia", positive=True)
         n = len(m0)
         if budget.n != n:
             raise GridError(f"budget dimension {budget.n} does not match {n} buses")
-        if not all(0 < x < math.inf for x in m0):  # NaN fails both comparisons
-            raise GridError("residual inertia must be positive and finite at every bus")
         self.m0, self.agents, self.budget = m0, agents, budget
         offers = [[] for _ in range(n)]  # (agent index, curve) per bus, absentees left out
-        for k, ag in enumerate(agents):
-            if not hasattr(ag.bus, "__index__"):  # ints, numpy's too; no floats
-                raise GridError(f"agent {ag.id!r}: bus index must be an integer, got {ag.bus!r}")
-            if ag.bus < 0 or ag.bus >= n:
-                raise GridError(f"agent {ag.id!r}: bus index {ag.bus} out of range")
-            if k not in excluded:
-                offers[ag.bus].append((k, ag.curve))
-        self.supplies = [_BusSupply(m0[i], offers[i]) for i in range(n)]
+        # Checked inline, not through ``errors.count``: the audit builds a market per trial.
+        try:
+            for k, ag in enumerate(agents):
+                bus = ag.bus
+                if type(bus) is not int and (isinstance(bus, bool) or not hasattr(bus, "__index__")):
+                    raise GridError(f"agent {ag.id!r}: bus index must be an integer, got {bus!r}")
+                if bus < 0 or bus >= n:
+                    raise GridError(f"agent {ag.id!r}: bus index {bus} out of range")
+                if k not in excluded:
+                    offers[bus].append((k, ag.curve))
+            self.supplies = [_BusSupply(m0[i], offers[i]) for i in range(n)]
+        except AttributeError:
+            raise GridError(f"agents must be Agents with CostCurves, got {agents!r}") from None
         self.lo = min(m0)
         self._cap_bus = min(range(n), key=lambda i: self.supplies[i].reach)
         self.cap = self.supplies[self._cap_bus].reach
@@ -319,11 +335,17 @@ class _Market:
 
         The smallest piece whose right end has a nonnegative derivative
         holds the minimizer, found by binary search and kept per weight:
-        ``swapped_level`` starts its walks there.
+        ``swapped_level`` starts its walks there. The search divides by the
+        slope, so a weight / cap^2 that underflows to 0, which a zero slope
+        would meet, raises :class:`GridError`. A weight of 0 (pi_tot 0)
+        keeps the lowest level.
         """
         if weight <= 0:
             return self.lo
         if weight not in self._levels:
+            if weight / (self.cap * self.cap) == 0.0:
+                raise GridError(f"trade-off weight {weight!r} over the squared reach cap {self.cap!r} "
+                                "underflows")
             pts, slopes, _ = self._sweep()
             first = bisect_left(
                 range(len(slopes)), True, key=lambda j: slopes[j] >= weight / (pts[j + 1] * pts[j + 1])
@@ -390,16 +412,19 @@ class _Market:
     def required_level(self, gamma_bar: float) -> float:
         """Level pi_tot / gamma_bar that the cap Gamma(m) <= gamma_bar needs.
 
-        Raises :class:`InfeasibleError` naming the bus that cannot reach it.
+        Raises :class:`InfeasibleError` naming the bus that cannot reach it,
+        also when the level overflows, which no finite reach meets
+        (``expand_performance_constraint`` raises a :class:`GridError`
+        there).
         """
-        level = float(expand_performance_constraint(gamma_bar, self.budget))
+        level = self.budget.pi_tot / real(gamma_bar, "gamma_bar", positive=True)
         if _beyond(level, self.cap):
             raise InfeasibleError(
                 lambda name: f"performance cap needs inertia level {level:.6g} but bus "
                 f"{name(self._cap_bus)} can reach at most {self.cap:.6g}",
                 bus=self._cap_bus,
             )
-        return level
+        return real(level, "inertia level pi_tot / gamma_bar")  # inf here means every reach overflowed
 
     def fill(self, level: float, gamma: float = 0.0) -> Allocation:
         """Cheapest plan lifting every bus below ``level`` to it (or to its reach).
@@ -420,19 +445,30 @@ class _Market:
             for k, f in supply.fill(need).items():
                 mu[k] = f
                 m[i] += f
-        gamma_term = gamma * worst_case_metric(m, self.budget).gamma if gamma > 0 else 0.0
-        return Allocation(
-            mu=tuple(mu), m=tuple(m), level=level, objective_parts=(float(gamma_term), float(cost))
-        )
+        gamma_term = 0.0
+        if gamma > 0:
+            gamma_term = real(gamma * worst_case_metric(m, self.budget).gamma, "metric term gamma * Gamma(m)")
+        cost = real(cost, "plan cost")
+        return Allocation(mu=tuple(mu), m=tuple(m), level=level, objective_parts=(gamma_term, cost))
 
-    def weight(self, gamma: float) -> float:
-        """Trade-off weight gamma * pi_tot of the metric term gamma * pi_tot / L."""
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise GridError(f"gamma must be positive and finite, got {gamma!r}")
-        return gamma * self.budget.pi_tot
+    def weight(self, gamma) -> float:
+        """Trade-off weight gamma * pi_tot of the metric term gamma * pi_tot / L.
 
-    def solve(self, gamma: float) -> Allocation:
-        return self.fill(self.level(self.weight(gamma)), gamma)
+        It depends on the market only through ``lo``. The level search and
+        the walks compare slopes with weight / L^2 for L from ``lo`` up, and
+        objectives add weight / L, so both must stay finite at ``lo``, or
+        :class:`GridError` is raised (``level`` checks the other end).
+        """
+        weight = real(gamma, "gamma", positive=True) * self.budget.pi_tot
+        if weight > 0.0:
+            floor = self.lo * self.lo if self.lo < 1.0 else self.lo  # weight / L^2 and weight / L peak at lo
+            if floor == 0.0:
+                raise GridError(f"trade-off weight gamma * pi_tot = {weight!r} over min(m0)^2 overflows")
+            real(weight / floor, "gamma * pi_tot / min(m0), squared below 1,")
+        return weight
+
+    def solve(self, gamma) -> Allocation:
+        return self.fill(self.level(self.weight(gamma)), float(gamma))
 
     def optimum(self, k: int, weight: float):
         """Optimal trade-off objective and agent ``k``'s quantity in that plan."""
@@ -477,7 +513,7 @@ class _Market:
         j = min(bisect_left(pts, level), len(slopes)) - 1
         if j < 0:
             return 0.0
-        return level * level * slopes[j] / self.budget.pi_tot
+        return real(level * level * slopes[j] / self.budget.pi_tot, "multiplier L^2 * S(L) / pi_tot")
 
 
 def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -491,7 +527,7 @@ def solve_centralized_soft(gamma, m0, agents, budget: DisturbanceBudget, *, excl
     removes agents from the market (their allocation is pinned to zero),
     as an abstention does.
     """
-    return _Market(m0, agents, budget, frozenset(excluded)).solve(float(gamma))
+    return _Market(m0, agents, budget, frozenset(excluded)).solve(gamma)
 
 
 def solve_centralized_hard(gamma_bar, m0, agents, budget: DisturbanceBudget, *, excluded=()) -> Allocation:
@@ -536,10 +572,10 @@ def regulatory_allocation(gamma_bar, m0, agents, budget: DisturbanceBudget) -> A
         deficit = level - supply.m0
         if deficit <= 0 or not supply.offers:
             continue
-        total_cap = sum(curve.cap for _, curve in supply.offers)
+        total_cap = real(sum(curve.cap for _, curve in supply.offers), f"bus {i} capacity")
         for k, curve in supply.offers:
-            share = deficit * curve.cap / total_cap
+            share = deficit * (curve.cap / total_cap)  # never overflows: at most the deficit
             mu[k] = share
             m[i] += share
             cost += curve.value(share)
-    return Allocation(mu=tuple(mu), m=tuple(m), level=level, objective_parts=(0.0, float(cost)))
+    return Allocation(mu=tuple(mu), m=tuple(m), level=level, objective_parts=(0.0, real(cost, "plan cost")))

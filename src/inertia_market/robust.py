@@ -8,10 +8,9 @@ least inertia, giving Gamma(m) = pi_tot * max_i 1/m_i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import GridError
+from .errors import GridError, count, real, reals
 
 __all__ = [
     "DisturbanceBudget",
@@ -28,15 +27,9 @@ class DisturbanceBudget:
     pi_tot: float
     n: int
 
-    def __post_init__(self):
-        try:
-            valid = math.isfinite(self.pi_tot) and self.pi_tot >= 0
-        except TypeError:  # a str, None, ...: not a real number
-            valid = False
-        if not valid:
-            raise GridError(f"pi_tot must be nonnegative and finite, got {self.pi_tot!r}")
-        if not hasattr(self.n, "__index__") or self.n < 1:  # ints, numpy's too; no floats
-            raise GridError(f"budget dimension must be an integer of at least 1, got {self.n!r}")
+    def __post_init__(self):  # kept as a float and an int
+        object.__setattr__(self, "pi_tot", real(self.pi_tot, "pi_tot"))
+        object.__setattr__(self, "n", count(self.n, "budget dimension", least=1))
 
 
 @dataclass(frozen=True)
@@ -56,18 +49,16 @@ def worst_case_metric(m, budget: DisturbanceBudget) -> WorstCase:
     1/m_i <= rho. ``m`` is any sequence of reals. Ties in the attaining bus
     break to the lowest index; the value itself is tie-invariant.
     """
-    m = tuple(map(float, m))
+    m = reals(m, "inertia entries", positive=True)
     n = budget.n
     if len(m) != n:
         raise GridError(f"inertia vector has shape ({len(m)},), expected ({n},)")
-    if not all(x > 0 for x in m):  # NaN fails too
-        raise GridError("inertia entries must be positive")
     recip = [1.0 / x for x in m]
     i_star = max(range(n), key=recip.__getitem__)  # max keeps the first of equal keys
     rho = recip[i_star]
-    gamma = budget.pi_tot * rho
+    gamma = real(budget.pi_tot * rho, "worst case pi_tot / min(m)")  # 1 / m overflows below 5.6e-309
     pi_star = [0.0] * n
-    pi_star[i_star] = float(budget.pi_tot)
+    pi_star[i_star] = budget.pi_tot
     return WorstCase(gamma=gamma, rho=rho, pi_star=tuple(pi_star), argmax_bus=i_star)
 
 
@@ -77,8 +68,8 @@ def expand_performance_constraint(gamma_bar: float, budget: DisturbanceBudget) -
     The vertex expansion of the worst-case constraint is pi_tot <=
     gamma_bar * m_i for every bus, i.e. m_i >= L with
     L = pi_tot / gamma_bar. Returns that level; the cap holds iff every
-    bus clears it.
+    bus clears it. A cap so small that the level overflows raises
+    :class:`GridError`.
     """
-    if not (math.isfinite(gamma_bar) and gamma_bar > 0):
-        raise GridError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
-    return budget.pi_tot / gamma_bar
+    level = budget.pi_tot / real(gamma_bar, "gamma_bar", positive=True)
+    return real(level, "inertia level pi_tot / gamma_bar")

@@ -28,12 +28,11 @@ without inertia-market participation (pure network/load buses).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import yaml
 
-from .errors import ScenarioError
+from .errors import ScenarioError, number, real
 from .grid import Grid, build_grid
 from .planner import Agent, CostCurve
 from .robust import DisturbanceBudget
@@ -112,12 +111,13 @@ class Scenario:
         return (self.budget.pi_tot / n,) * n
 
 
-def _number(raw, where: str) -> float:
-    """A scenario number as a float; anything else is a ScenarioError naming ``where``."""
+def _number(raw, where: str, *, positive=False) -> float:
+    """A scenario number in range; one that ``float()`` cannot read, or a bool, "must be a number"."""
     try:
-        return float(raw)
+        value = number(raw)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a number, got {raw!r}") from None
+    return real(value, where, positive=positive, error=ScenarioError)
 
 
 def _parse_curve(raw, where: str) -> CostCurve:
@@ -127,7 +127,7 @@ def _parse_curve(raw, where: str) -> CostCurve:
     for k, seg in enumerate(raw):
         if not isinstance(seg, dict) or "width" not in seg or "price" not in seg:
             raise ScenarioError(f"{where}[{k}]: expected {{width, price}}, got {seg!r}")
-        width = _number(seg["width"], f"{where}[{k}].width")
+        width = _number(seg["width"], f"{where}[{k}].width", positive=True)
         segments.append((width, _number(seg["price"], f"{where}[{k}].price")))
     try:
         return CostCurve(segments=tuple(segments))
@@ -153,21 +153,15 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     if "pi_tot" not in doc:
         raise ScenarioError(f"{origin}: missing pi_tot")
     pi_tot = _number(doc["pi_tot"], f"{origin}: pi_tot")
-    if pi_tot < 0:
-        raise ScenarioError(f"{origin}: pi_tot must be nonnegative")
 
     gamma = doc.get("gamma")
     gamma_bar = doc.get("gamma_bar")
     if gamma is not None and gamma_bar is not None:
         raise ScenarioError(f"{origin}: gamma and gamma_bar are mutually exclusive")
     if gamma is not None:
-        gamma = _number(gamma, f"{origin}: gamma")
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise ScenarioError(f"{origin}: gamma must be positive and finite")
+        gamma = _number(gamma, f"{origin}: gamma", positive=True)
     if gamma_bar is not None:
-        gamma_bar = _number(gamma_bar, f"{origin}: gamma_bar")
-        if not (math.isfinite(gamma_bar) and gamma_bar > 0):
-            raise ScenarioError(f"{origin}: gamma_bar must be positive and finite")
+        gamma_bar = _number(gamma_bar, f"{origin}: gamma_bar", positive=True)
 
     buses = doc.get("buses")
     if not isinstance(buses, list) or not buses:
@@ -180,21 +174,16 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
             raise ScenarioError(f"{origin}: buses[{k}]: expected {{label, m0}}, got {entry!r}")
         label = str(entry["label"])
         labels.append(label)
-        m0.append(_number(entry["m0"], f"{origin}: bus {label!r}: m0"))
+        m0.append(_number(entry["m0"], f"{origin}: bus {label!r}: m0", positive=True))
         pi_vals.append(entry.get("pi"))
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{origin}: duplicate bus labels")
-    for label, x in zip(labels, m0):
-        if not 0 < x < math.inf:  # NaN fails both comparisons
-            raise ScenarioError(f"{origin}: bus {label!r}: m0 must be positive and finite")
     with_pi = [v is not None for v in pi_vals]
     if any(with_pi) and not all(with_pi):
         raise ScenarioError(f"{origin}: per-bus pi must be given for all buses or none")
     pi = None
     if all(with_pi):
         pi = tuple(_number(v, f"{origin}: bus {label!r}: pi") for label, v in zip(labels, pi_vals))
-        if not all(0 <= x < math.inf for x in pi):
-            raise ScenarioError(f"{origin}: per-bus pi must be nonnegative and finite")
 
     agents = []
     ids = set()

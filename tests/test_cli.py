@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -326,6 +327,30 @@ def test_infeasible_cap_names_the_bus_label(capsys, command):
     code, out, err = run_cli(capsys, command, CASE_FILE, "--gamma-bar", "0.05")
     assert code == 1
     assert "but bus 5 can reach at most 35.3801" in err
+
+
+@pytest.mark.parametrize("value", ["1e-320", "5e-324", "1e308", "inf", "nan", "0", "-0.0"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("plan", "--gamma"), ("plan", "--gamma-bar"), ("auction", "--gamma"), ("auction", "--gamma-bar"),
+     ("compare", "--gamma-bar")],
+)  # fmt: skip
+def test_extreme_weight_or_cap_never_tracebacks(capsys, tmp_path, command, flag, value):
+    """A flag at the edge of float range ends in an error line, or in output free of inf and nan."""
+    out_dir = ["--out", str(tmp_path)] if command == "compare" else []
+    code, out, err = run_cli(capsys, command, CASE_FILE, flag, value, *out_dir)
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE), out
+    else:
+        assert code in (1, 2) and err.startswith("error:"), (code, err)
+
+
+@pytest.mark.parametrize("command", ["plan", "auction", "compare"])
+def test_overflowing_cap_level_names_the_bus_label(capsys, command):
+    """pi_tot / 1e-320 overflows to inf, which no bus reaches; it used to pass as met."""
+    code, out, err = run_cli(capsys, command, CASE_FILE, "--gamma-bar", "1e-320")
+    assert code == 1 and out == ""
+    assert "needs inertia level inf but bus 5 can reach at most 35.3801" in err
 
 
 def test_pivotal_agent_names_the_bus_label(capsys, tmp_path):

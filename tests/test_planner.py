@@ -70,7 +70,11 @@ class TestCostCurve:
         with pytest.raises(ScenarioError, match="finite"):
             CostCurve((segment,))
 
-    @pytest.mark.parametrize("segment", [("1", 1.0), (1.0, None)], ids=["str-width", "none-price"])
+    @pytest.mark.parametrize(
+        "segment",
+        [("1", 1.0), (1.0, None), (1.0,), (1.0, 2.0, 3.0)],
+        ids=["str-width", "none-price", "one-number", "three-numbers"],
+    )
     def test_non_numeric_segment_rejected(self, segment):
         with pytest.raises(ScenarioError, match="real numbers"):
             CostCurve((segment,))
@@ -444,12 +448,23 @@ def agent_bus_calls(m0, agents, budget):
     ]
 
 
-@pytest.mark.parametrize("bus", [1.0, "1", None], ids=["float", "str", "none"])
+@pytest.mark.parametrize("bus", [1.0, "1", None, True], ids=["float", "str", "none", "bool"])
 def test_agent_bus_must_be_an_integer(bus):
     agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), Agent("B", bus, CostCurve.linear(1.0, 2.0))]
     m0, budget = np.array([1.0, 1.0]), DisturbanceBudget(1.0, 2)
     for call in agent_bus_calls(m0, agents, budget):
         with pytest.raises(GridError, match=f"agent 'B': bus index must be an integer, got {bus!r}"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "agent", ["B", None, ("B", 1, CostCurve.linear(1.0, 2.0))], ids=["str", "none", "tuple"]
+)
+def test_agents_must_be_agents(agent):
+    agents = [Agent("A", 0, CostCurve.linear(1.0, 2.0)), agent]
+    m0, budget = np.array([1.0, 1.0]), DisturbanceBudget(1.0, 2)
+    for call in agent_bus_calls(m0, agents, budget):
+        with pytest.raises(GridError, match="Agent"):
             call()
 
 

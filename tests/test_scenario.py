@@ -112,9 +112,11 @@ def _set_segment(doc, **fields):
         (lambda d: _with_pi(d, [1.0, "high"]), "bus '2': pi must be a number, got 'high'"),
         (lambda d: _set_segment(d, width="wide"), r"bid\[0\].width must be a number, got 'wide'"),
         (lambda d: _set_segment(d, price=[1.0]), r"bid\[0\].price must be a number, got \[1.0\]"),
+        (lambda d: d.update(pi_tot=True), "pi_tot must be a number, got True"),
+        (lambda d: _set_segment(d, width=False), r"bid\[0\].width must be a number, got False"),
     ],
     ids=["pi_tot-str", "pi_tot-none", "gamma-str", "gamma_bar-list", "m0-str", "m0-none",
-         "pi-str", "width-str", "price-list"],
+         "pi-str", "width-str", "price-list", "pi_tot-bool", "width-bool"],
 )
 def test_non_numeric_values_name_their_field(tmp_path, mutate, message):
     doc = minimal_doc()
