@@ -14,7 +14,6 @@ import argparse
 import sys
 
 import numpy as np
-import yaml
 
 from inertia_market import AuditError, incentive_audit
 from inertia_market.auction import random_convex_curve
@@ -71,6 +70,8 @@ def main() -> int:
                 agents, gamma, m0, budget, trials=args.trials, seed=args.seed + 1000 + k
             )
         except AuditError as exc:
+            import yaml  # only to dump the instance; a clean sweep never loads it
+
             print(f"instance {k}: VIOLATION: {exc}", file=sys.stderr)
             print(yaml.safe_dump(exc.instance), file=sys.stderr)
             return 1

@@ -265,8 +265,12 @@ def incentive_audit(true_costs, gamma, m0, budget: DisturbanceBudget, trials: in
 
     trials = count(trials, "trials", least=1)
     seed = count(seed, "seed", least=0)
-    if not true_costs or not all(isinstance(ag, Agent) for ag in true_costs):
-        raise GridError(f"the audit needs one agent or more, each an Agent, got {true_costs!r}")
+    if not true_costs or not all(
+        isinstance(ag, Agent) and isinstance(ag.curve, CostCurve) for ag in true_costs
+    ):
+        raise GridError(
+            f"the audit needs one agent or more; agents must be Agents with CostCurves, got {true_costs!r}"
+        )
     gamma = real(gamma, "gamma", positive=True)
     rng = np.random.default_rng(seed)
     m0 = reals(m0, "residual inertia", positive=True)

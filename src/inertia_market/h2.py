@@ -209,7 +209,7 @@ def h2_primary_effort_closed(m, pi, kappa=1) -> float:
     numpy.
     """
     if kappa not in (1, 2):
-        raise ValueError(f"kappa must be 1 or 2, got {kappa!r}")
+        raise GridError(f"kappa must be 1 or 2, got {kappa!r}")
     m = reals(m, "inertia entries", positive=True)
     pi = reals(pi, "disturbance strengths")
     if len(pi) != len(m):

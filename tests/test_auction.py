@@ -589,19 +589,21 @@ class TestIncentiveAudit:
             incentive_audit(agents, 16.0, m0, budget, trials=0, seed=1)
 
     @pytest.mark.parametrize(
-        "no_agents, trials, gamma, seed, named",
+        "agents, trials, gamma, seed, named",
         [
-            (True, 5, 16.0, 1, "agent"),
-            (False, 2.5, 16.0, 1, "trials"),
-            (False, 5, math.nan, 1, "gamma"),
-            (False, 5, math.inf, 1, "gamma"),
-            (False, 5, 0.0, 1, "gamma"),
-            (False, 5, -1.0, 1, "gamma"),
-            (False, 5, 16.0, -1, "seed"),
-            (False, 5, 16.0, 1.5, "seed"),
+            ([], 5, 16.0, 1, "agent"),
+            ([Agent("a", 0, "x")], 5, 16.0, 1, "agents must be Agents with CostCurves"),
+            (None, 2.5, 16.0, 1, "trials"),
+            (None, 5, math.nan, 1, "gamma"),
+            (None, 5, math.inf, 1, "gamma"),
+            (None, 5, 0.0, 1, "gamma"),
+            (None, 5, -1.0, 1, "gamma"),
+            (None, 5, 16.0, -1, "seed"),
+            (None, 5, 16.0, 1.5, "seed"),
         ],
         ids=[
             "no-agents",
+            "curve-not-a-cost-curve",
             "fractional-trials",
             "nan-gamma",
             "inf-gamma",
@@ -611,10 +613,10 @@ class TestIncentiveAudit:
             "fractional-seed",
         ],
     )
-    def test_audit_rejects_bad_inputs(self, no_agents, trials, gamma, seed, named):
-        m0, agents, budget = single_bus_instance()
+    def test_audit_rejects_bad_inputs(self, agents, trials, gamma, seed, named):
+        m0, valid, budget = single_bus_instance()
         with pytest.raises(GridError, match=named):
-            incentive_audit([] if no_agents else agents, gamma, m0, budget, trials=trials, seed=seed)
+            incentive_audit(valid if agents is None else agents, gamma, m0, budget, trials=trials, seed=seed)
 
     def test_audit_report_fields(self):
         rng = np.random.default_rng(5)

@@ -83,6 +83,17 @@ def test_h2_closed_both_kappas(capsys):
     assert v1 == pytest.approx(2 * v2, rel=1e-12)
 
 
+def test_h2_closed_uses_per_bus_strengths(capsys, tmp_path):
+    pi = tuple((i + 1) / 7 for i in range(9))
+    scn = dataclasses.replace(case_study(), pi=pi)
+    path = tmp_path / "per_bus_pi.yaml"
+    emit_scenario(scn, path)
+    code, out, _ = run_cli(capsys, "h2", str(path), "--method", "closed")
+    assert code == 0
+    assert out == f"h2_squared={h2.h2_primary_effort_closed(scn.m0, pi):.9g} method=closed kappa=1\n"
+    assert out.startswith("h2_squared=0.311732646 ")
+
+
 def test_h2_gramian_needs_topology(capsys, tmp_path):
     scn = dataclasses.replace(case_study(), grid=None, grid_illustrative=False)
     path = tmp_path / "no_grid.yaml"
@@ -173,6 +184,25 @@ def test_plan_without_mode_anywhere(capsys, tmp_path):
     code, out, err = run_cli(capsys, "plan", str(path))
     assert code == 1
     assert "--gamma" in err
+
+
+def test_compare_without_gamma_bar_anywhere(capsys, tmp_path):
+    path = tmp_path / "modeless.yaml"
+    emit_scenario(dataclasses.replace(case_study(), gamma=None, gamma_bar=None), path)
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: compare needs --gamma-bar (or one embedded in the scenario)\n"
+
+
+def test_compare_out_on_a_file_is_an_os_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(capsys, "compare", CASE_FILE, "--out", str(taken))
+    assert code == 1
+    assert err.startswith("error: ") and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
 
 
 def test_auction_hard_report(capsys):
@@ -469,6 +499,38 @@ def test_import_loads_no_numpy_until_linear_algebra():
     assert result["after"]
     # The stored benchmark run of the same command (perfbench/refs/cli.json).
     assert result["h2"] == _cli_refs()["h2-upper-bound"]["stdout"]
+
+
+def test_import_and_clearing_load_no_yaml():
+    # A fresh interpreter: this process already holds PyYAML through the tests.
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import inertia_market as im
+        case = sys.argv[1]
+        loaded = {"import": "yaml" in sys.modules}
+        scn = im.case_study()
+        loaded["case_study"] = "yaml" in sys.modules
+        agents = scn.market_agents()
+        im.solve_centralized_soft(1000.0, scn.m0, agents, scn.budget)
+        im.solve_centralized_hard(0.29, scn.m0, agents, scn.budget)
+        im.dual_gamma_iterate(0.29, scn.m0, agents, scn.budget)
+        im.regulatory_allocation(0.29, scn.m0, agents, scn.budget)
+        loaded["solvers"] = "yaml" in sys.modules
+        im.run_auction(agents, 1000.0, scn.m0, scn.budget)
+        im.run_auction_hard(agents, 0.29, scn.m0, scn.budget)
+        loaded["auctions"] = "yaml" in sys.modules
+        im.incentive_audit(agents, 1000.0, scn.m0, scn.budget, trials=3, seed=0)
+        loaded["audit"] = "yaml" in sys.modules
+        parsed = im.parse_scenario(case)
+        loaded["parse"] = "yaml" in sys.modules
+        print(json.dumps({"loaded": loaded, "same": parsed == scn}))
+        """
+    )
+    result = _run_fresh(script, CASE_FILE)
+    cleared = dict.fromkeys(["import", "case_study", "solvers", "auctions", "audit"], False)
+    assert result["loaded"] == {**cleared, "parse": True}
+    assert result["same"]
 
 
 def test_version_flag(capsys):

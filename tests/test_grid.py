@@ -64,6 +64,20 @@ def test_invalid_grids_rejected(m0, d, lines, message):
         make_grid(m0, d, lines)
 
 
+@pytest.mark.parametrize(
+    "buses, message",
+    [
+        ([], "non-empty 'buses' list"),
+        ([{"label": "1", "m0": 1.0}], r"buses\[0\]: expected label/m0/d"),
+        ([{"label": "1", "m0": 1.0, "d": 1.0}, {"label": 1, "m0": 2.0, "d": 1.0}], "duplicate bus labels"),
+    ],
+    ids=["no-buses", "bus-without-d", "duplicate-labels"],
+)
+def test_invalid_bus_lists_rejected(buses, message):
+    with pytest.raises(GridError, match=message):
+        build_grid({"buses": buses, "lines": []})
+
+
 def test_unknown_bus_in_line_rejected():
     with pytest.raises(GridError, match="unknown bus"):
         build_grid(

@@ -214,7 +214,7 @@ class TestClosedForm:
             assert mid <= avg + 1e-12
 
     def test_kappa_validation(self):
-        with pytest.raises(ValueError, match="kappa"):
+        with pytest.raises(GridError, match="kappa"):
             h2_primary_effort_closed([1.0], [1.0], kappa=3)
 
     @pytest.mark.parametrize(

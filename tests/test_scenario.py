@@ -5,10 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from inertia_market import ScenarioError, case_study, emit_scenario, parse_scenario
+from inertia_market import (
+    CostCurve,
+    DisturbanceBudget,
+    Scenario,
+    ScenarioAgent,
+    ScenarioError,
+    build_grid,
+    case_study,
+    emit_scenario,
+    parse_scenario,
+)
 from inertia_market import scenario as scenario_module
-from inertia_market.scenario import scenario_document
+from inertia_market.scenario import TIMESCALES, scenario_document
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -225,6 +237,88 @@ def test_libyaml_and_pure_python_dumpers_agree(tmp_path, monkeypatch):
         emit_scenario(case_study(), out)
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+# Strings a YAML 1.1 resolver would read as a bool, null, int or float if
+# written plain, or that plain style cannot hold (empty, padded, indicators).
+AMBIGUOUS = ["yes", "No", "on", "null", "~", "1e3", "1.5", "0x10", "0o17", "", " a ", "- x", "a: b", "#c",
+             "'q'"]
+# Subnormals, the largest decades and ordinary values.
+EXTREME = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 37.24225668, 1e300, 1e308]
+
+text = st.one_of(
+    st.sampled_from(AMBIGUOUS),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+positive = st.one_of(st.sampled_from(EXTREME), st.floats(min_value=5e-324, max_value=1e308))
+nonnegative = st.one_of(st.just(0.0), positive)
+
+
+@st.composite
+def cost_curves(draw):
+    """Admissible curves: widths and prices small enough that the capacity and its cost stay finite."""
+    widths = draw(st.lists(st.sampled_from([5e-324, 1e-310, 0.5, 20.0, 1e300]), min_size=1, max_size=3))
+    prices = sorted(draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1 / 3, 1e3]),
+                                  min_size=len(widths), max_size=len(widths))))
+    return CostCurve(segments=tuple(zip(widths, prices)))
+
+
+@st.composite
+def scenarios(draw):
+    labels = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+    n = len(labels)
+    ids = draw(st.lists(text, max_size=4, unique=True))
+    agents = tuple(
+        ScenarioAgent(
+            id=agent_id,
+            bus=draw(st.sampled_from(labels)),
+            bid=draw(cost_curves()),
+            cost=draw(st.none() | cost_curves()),
+        )
+        for agent_id in ids
+    )
+    mode = draw(st.sampled_from(["gamma", "gamma_bar", None]))
+    grid = None
+    if draw(st.booleans()):
+        grid_labels = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+        path = zip(grid_labels, grid_labels[1:])  # connected, as build_grid requires
+        grid = build_grid({
+            "buses": [{"label": lab, "m0": draw(positive), "d": draw(positive)} for lab in grid_labels],
+            "lines": [{"from": a, "to": b, "b": draw(nonnegative)} for a, b in path],
+        })
+    notes = draw(st.none() | st.builds(lambda a, b: f"{a}: {b} # {a}", text, text))
+    return Scenario(
+        name=draw(text),
+        timescale=draw(st.sampled_from(TIMESCALES)),
+        kappa=draw(st.sampled_from([1, 2])),
+        bus_labels=tuple(labels),
+        m0=tuple(draw(st.lists(positive, min_size=n, max_size=n))),
+        pi=draw(st.none() | st.lists(nonnegative, min_size=n, max_size=n).map(tuple)),
+        budget=DisturbanceBudget(pi_tot=draw(nonnegative), n=n),
+        agents=agents,
+        gamma=draw(positive) if mode == "gamma" else None,
+        gamma_bar=draw(positive) if mode == "gamma_bar" else None,
+        grid=grid,
+        grid_illustrative=grid is not None and draw(st.booleans()),
+        notes=notes,
+    )
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scn=scenarios())
+def test_scenario_round_trips_through_every_loader_and_dumper(tmp_path_factory, scn):
+    path = tmp_path_factory.getbasetemp() / "round_trip.yaml"
+    with pytest.MonkeyPatch.context() as mp:
+        for dumper in DUMPERS:
+            mp.setattr(scenario_module, "_DUMPER", dumper)
+            emit_scenario(scn, path)
+            for loader in LOADERS:
+                mp.setattr(scenario_module, "_LOADER", loader)
+                assert parse_scenario(path) == scn, (dumper.__name__, loader.__name__)
 
 
 def test_committed_example_matches_embedded_study():

@@ -1,13 +1,16 @@
 """Experiment scripts: argument checks."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import inertia_market
+from inertia_market import AuditError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 AUDIT_SWEEP = SCRIPTS / "audit_sweep.py"
@@ -41,6 +44,25 @@ def test_audit_sweep_zero_count_is_a_usage_error(flag, value, message):
     # traceback, or, for zero instances, a "worst violation -inf" line.
     proc = run_script(AUDIT_SWEEP, "--instances", "1", "--trials", "1", flag, value)
     assert_usage_error(proc, flag, message)
+
+
+def test_audit_sweep_dumps_a_violating_instance(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("audit_sweep", AUDIT_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    instance = {"trial": 0, "agent": "a0", "m0": [1.5], "u_dev": 1.0}
+
+    def violate(*args, **kwargs):
+        raise AuditError("truthful bidding lost 1.000e+00", instance=instance)
+
+    monkeypatch.setattr(sweep, "incentive_audit", violate)
+    monkeypatch.setattr(sys, "argv", [str(AUDIT_SWEEP), "--instances", "2", "--trials", "1"])
+    assert sweep.main() == 1
+    captured = capsys.readouterr()
+    headline, dump = captured.err.split("\n", 1)
+    assert headline == "instance 0: VIOLATION: truthful bidding lost 1.000e+00"
+    assert yaml.safe_load(dump) == instance
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
