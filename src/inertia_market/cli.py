@@ -41,17 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and validate a scenario file")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("scenario")
 
     p = sub.add_parser("h2", help="evaluate the squared H2 metric")
+    p.set_defaults(handler=_cmd_h2)
     p.add_argument("scenario")
     p.add_argument("--method", choices=("gramian", "closed", "upper-bound"), required=True)
     p.add_argument("--kappa", type=int, choices=(1, 2), default=None)
 
     p = sub.add_parser("worst-case", help="worst-case metric over the budget polytope")
+    p.set_defaults(handler=_cmd_worst_case)
     p.add_argument("scenario")
 
     p = sub.add_parser("plan", help="centralized procurement plan")
+    p.set_defaults(handler=_cmd_plan)
     p.add_argument("scenario")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--gamma-bar", type=float, default=None)
@@ -60,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("auction", help="sealed-bid auction with externality payments")
+    p.set_defaults(handler=_cmd_auction)
     p.add_argument("scenario")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--gamma-bar", type=float, default=None)
@@ -67,11 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="regulatory vs centralized vs auction, one bundle")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("scenario")
     p.add_argument("--gamma-bar", type=float, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("case-study", help="run compare on the bundled scenario")
+    p.set_defaults(handler=_cmd_case_study)
     p.add_argument("--out", default=None)
 
     return parser
@@ -252,17 +259,6 @@ def _cmd_case_study(args) -> int:
     return _compare(case_study(), None, args.out, write_scenario=True)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "h2": _cmd_h2,
-    "worst-case": _cmd_worst_case,
-    "plan": _cmd_plan,
-    "auction": _cmd_auction,
-    "compare": _cmd_compare,
-    "case-study": _cmd_case_study,
-}
-
-
 def cli_dispatch(argv) -> int:
     """Run one command; returns the process exit status instead of exiting."""
     parser = _build_parser()
@@ -272,7 +268,7 @@ def cli_dispatch(argv) -> int:
         # argparse already printed usage or version; remap its exit codes.
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ScenarioError, GridError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -7,6 +7,16 @@ to exit code 2.
 
 import math
 
+__all__ = [
+    "InertiaMarketError",
+    "GridError",
+    "ScenarioError",
+    "InfeasibleError",
+    "NumericsError",
+    "ContractError",
+    "AuditError",
+]
+
 
 class InertiaMarketError(Exception):
     """Base class for all package errors."""
@@ -67,7 +77,7 @@ def reals(xs, what, *, positive=False, error=GridError) -> tuple:
             values.append(v + 0.0)
         else:
             return tuple(values)
-    except (TypeError, ValueError):  # xs is not iterable, or float() refuses x
+    except (TypeError, ValueError, OverflowError):  # xs is not iterable, or float() refuses x
         pass
     raise error(f"{what} must be {'positive' if positive else 'nonnegative'} and finite, got {x!r}")
 
@@ -89,3 +99,14 @@ def number(raw) -> float:
     if isinstance(raw, bool):
         raise TypeError(f"a bool is not a number: {raw!r}")
     return float(raw)
+
+
+def label(raw, what, *, error=GridError) -> str:
+    """``str(raw)`` for a label, id or name read from a file; a bool, null, list or mapping raises ``error``.
+
+    YAML 1.1 reads a plain yes, no, on, off, true, false, ~ or null as a bool
+    or null, so the error asks for quotes.
+    """
+    if raw is None or isinstance(raw, (bool, list, dict)):
+        raise error(f"{what} must be a string, got {raw!r}; quote it in YAML")
+    return str(raw)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GridError, number, real, reals
+from .errors import GridError, label, number, real, reals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,35 +65,40 @@ def build_grid(raw: dict) -> Grid:
     analytically solvable degenerate case); any larger grid must be
     connected.
     """
+    if not isinstance(raw, dict):
+        raise GridError(f"grid must be a mapping, got {raw!r}")
     buses = raw.get("buses")
-    if not buses:
+    raw_lines = raw.get("lines")
+    if not isinstance(buses, list) or not buses:
         raise GridError("grid needs a non-empty 'buses' list")
+    if raw_lines is not None and not isinstance(raw_lines, list):
+        raise GridError(f"grid 'lines' must be a list, got {raw_lines!r}")
     labels = []
     m0 = []
     d = []
     for k, entry in enumerate(buses):
         try:
-            labels.append(str(entry["label"]))
+            labels.append(label(entry["label"], f"buses[{k}]: label"))
             m0.append(number(entry["m0"]))
             d.append(number(entry["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GridError(f"buses[{k}]: expected label/m0/d, got {entry!r}") from exc
     if len(set(labels)) != len(labels):
         raise GridError("duplicate bus labels")
     for name, values in (("inertia m0", m0), ("damping d", d)):
-        for label, x in zip(labels, values):
-            real(x, f"bus {label!r}: {name}", positive=True)
+        for lab, x in zip(labels, values):
+            real(x, f"bus {lab!r}: {name}", positive=True)
     n = len(labels)
 
     index = {lab: k for k, lab in enumerate(labels)}
     lines = []
     seen = set()
-    for k, entry in enumerate(raw.get("lines") or []):
+    for k, entry in enumerate(raw_lines or []):
         try:
-            i = index[str(entry["from"])]
-            j = index[str(entry["to"])]
+            i = index[label(entry["from"], f"lines[{k}]: from")]
+            j = index[label(entry["to"], f"lines[{k}]: to")]
             b = number(entry["b"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GridError(
                 f"lines[{k}]: unknown bus, missing field or non-numeric b in {entry!r}"
             ) from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from .errors import GridError
 from .planner import Allocation
 from .robust import worst_case_metric
 
@@ -151,7 +152,7 @@ def emit_report(report: Report, fmt: str = "csv", stream=None, path=None) -> str
     elif fmt == "text":
         text = render_text(report)
     else:
-        raise ValueError(f"format must be 'csv' or 'text', got {fmt!r}")
+        raise GridError(f"format must be 'csv' or 'text', got {fmt!r}")
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

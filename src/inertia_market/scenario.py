@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ScenarioError, number, real
+from .errors import GridError, ScenarioError, label, number, real
 from .grid import Grid, build_grid
 from .planner import Agent, CostCurve
 from .robust import DisturbanceBudget
@@ -103,7 +103,7 @@ class Scenario:
             elif use == "cost":
                 curve = ag.cost if ag.cost is not None else ag.bid
             else:
-                raise ValueError(f"use must be 'bid' or 'cost', got {use!r}")
+                raise GridError(f"use must be 'bid' or 'cost', got {use!r}")
             out.append(Agent(id=ag.id, bus=self.bus_index(ag.bus), curve=curve))
         return out
 
@@ -119,7 +119,7 @@ def _number(raw, where: str, *, positive=False) -> float:
     """A scenario number in range; one that ``float()`` cannot read, or a bool, "must be a number"."""
     try:
         value = number(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
         raise ScenarioError(f"{where} must be a number, got {raw!r}") from None
     return real(value, where, positive=positive, error=ScenarioError)
 
@@ -143,15 +143,15 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{origin}: scenario document must be a mapping")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # a bool or float equal to 1 is not 1
         raise ScenarioError(f"{origin}: format_version must be {FORMAT_VERSION}, got {version!r}")
 
-    name = str(doc.get("name", "unnamed"))
+    name = label(doc.get("name", "unnamed"), f"{origin}: name", error=ScenarioError)
     timescale = doc.get("timescale", "planning")
     if timescale not in TIMESCALES:
         raise ScenarioError(f"{origin}: timescale must be one of {TIMESCALES}, got {timescale!r}")
     kappa = doc.get("kappa", 1)
-    if kappa not in (1, 2):
+    if type(kappa) is not int or kappa not in (1, 2):
         raise ScenarioError(f"{origin}: kappa must be 1 or 2, got {kappa!r}")
 
     if "pi_tot" not in doc:
@@ -176,9 +176,9 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     for k, entry in enumerate(buses):
         if not isinstance(entry, dict) or "label" not in entry or "m0" not in entry:
             raise ScenarioError(f"{origin}: buses[{k}]: expected {{label, m0}}, got {entry!r}")
-        label = str(entry["label"])
-        labels.append(label)
-        m0.append(_number(entry["m0"], f"{origin}: bus {label!r}: m0", positive=True))
+        lab = label(entry["label"], f"{origin}: buses[{k}].label", error=ScenarioError)
+        labels.append(lab)
+        m0.append(_number(entry["m0"], f"{origin}: bus {lab!r}: m0", positive=True))
         pi_vals.append(entry.get("pi"))
     if len(set(labels)) != len(labels):
         raise ScenarioError(f"{origin}: duplicate bus labels")
@@ -187,19 +187,22 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
         raise ScenarioError(f"{origin}: per-bus pi must be given for all buses or none")
     pi = None
     if all(with_pi):
-        pi = tuple(_number(v, f"{origin}: bus {label!r}: pi") for label, v in zip(labels, pi_vals))
+        pi = tuple(_number(v, f"{origin}: bus {lab!r}: pi") for lab, v in zip(labels, pi_vals))
 
+    raw_agents = doc.get("agents")
+    if raw_agents is not None and not isinstance(raw_agents, list):
+        raise ScenarioError(f"{origin}: 'agents' must be a list, got {raw_agents!r}")
     agents = []
     ids = set()
-    for k, entry in enumerate(doc.get("agents") or []):
+    for k, entry in enumerate(raw_agents or []):
         where = f"{origin}: agents[{k}]"
         if not isinstance(entry, dict) or "id" not in entry or "bus" not in entry:
             raise ScenarioError(f"{where}: expected {{id, bus, bid}}, got {entry!r}")
-        agent_id = str(entry["id"])
+        agent_id = label(entry["id"], f"{where}.id", error=ScenarioError)
         if agent_id in ids:
             raise ScenarioError(f"{where}: duplicate agent id {agent_id!r}")
         ids.add(agent_id)
-        bus = str(entry["bus"])
+        bus = label(entry["bus"], f"{where}.bus", error=ScenarioError)
         if bus not in labels:
             raise ScenarioError(f"{where}: unknown bus {bus!r}")
         if "bid" not in entry:
@@ -211,19 +214,20 @@ def _build_scenario(doc: dict, origin: str) -> Scenario:
     grid = None
     grid_illustrative = False
     if doc.get("grid") is not None:
-        raw_grid = doc["grid"]
-        if not isinstance(raw_grid, dict):
-            raise ScenarioError(f"{origin}: 'grid' must be a mapping")
-        grid_illustrative = bool(raw_grid.get("illustrative", False))
         try:
-            grid = build_grid({"buses": raw_grid.get("buses"), "lines": raw_grid.get("lines")})
-        except Exception as exc:
+            grid = build_grid(doc["grid"])
+        except GridError as exc:
             raise ScenarioError(f"{origin}: grid: {exc}") from exc
+        grid_illustrative = doc["grid"].get("illustrative", False)
+        if not isinstance(grid_illustrative, bool):
+            raise ScenarioError(
+                f"{origin}: grid: illustrative must be true or false, got {grid_illustrative!r}"
+            )
 
     return Scenario(
         name=name,
         timescale=timescale,
-        kappa=int(kappa),
+        kappa=kappa,
         bus_labels=tuple(labels),
         m0=tuple(m0),
         pi=pi,
@@ -249,7 +253,7 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # the file handle decodes as either loader reads
         raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of more digits than int() reads
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     return _build_scenario(doc, origin=str(path))
 
@@ -274,8 +278,8 @@ def scenario_document(scn: Scenario) -> dict:
     if scn.notes:
         doc["notes"] = scn.notes
     buses = []
-    for k, label in enumerate(scn.bus_labels):
-        entry = {"label": label, "m0": float(scn.m0[k])}
+    for k, lab in enumerate(scn.bus_labels):
+        entry = {"label": lab, "m0": float(scn.m0[k])}
         if scn.pi is not None:
             entry["pi"] = float(scn.pi[k])
         buses.append(entry)
@@ -377,39 +381,24 @@ _CASE_NOTES = (
 
 def case_study() -> Scenario:
     """The bundled three-region case study with truthful single-tier agents."""
-    grid_buses = []
-    for k in range(1, 13):
-        label = str(k)
-        m0 = _CASE_M0.get(label, _CASE_HUB_M0)
-        grid_buses.append({"label": label, "m0": m0, "d": 1.0})
-    grid = build_grid(
-        {
-            "buses": grid_buses,
+    agents = []
+    for aid, bus, price, cap in _CASE_AGENTS:
+        curve = [{"width": cap, "price": price}]
+        agents.append({"id": aid, "bus": bus, "bid": curve, "cost": curve})
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "name": "three-region-12bus",
+        "pi_tot": 10.0,
+        "gamma_bar": 0.29,
+        "notes": _CASE_NOTES,
+        "buses": [{"label": lab, "m0": m0} for lab, m0 in _CASE_M0.items()],
+        "agents": agents,
+        "grid": {
+            "illustrative": True,
+            "buses": [
+                {"label": str(k), "m0": _CASE_M0.get(str(k), _CASE_HUB_M0), "d": 1.0} for k in range(1, 13)
+            ],
             "lines": [{"from": i, "to": j, "b": b} for i, j, b in _CASE_LINES],
-        }
-    )
-    agents = tuple(
-        ScenarioAgent(
-            id=aid,
-            bus=bus,
-            bid=CostCurve.linear(price, cap),
-            cost=CostCurve.linear(price, cap),
-        )
-        for aid, bus, price, cap in _CASE_AGENTS
-    )
-    labels = tuple(_CASE_M0)
-    return Scenario(
-        name="three-region-12bus",
-        timescale="planning",
-        kappa=1,
-        bus_labels=labels,
-        m0=tuple(_CASE_M0[lab] for lab in labels),
-        pi=None,
-        budget=DisturbanceBudget(pi_tot=10.0, n=len(labels)),
-        agents=agents,
-        gamma=None,
-        gamma_bar=0.29,
-        grid=grid,
-        grid_illustrative=True,
-        notes=_CASE_NOTES,
-    )
+        },
+    }
+    return _build_scenario(doc, origin="case study")

@@ -1,10 +1,13 @@
 """Entry points accept any sequence of reals and return tuples of floats."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import inertia_market
 from inertia_market import (
     case_study,
     dual_gamma_iterate,
@@ -57,3 +60,18 @@ def test_ndarray_list_and_tuple_inputs_agree(name):
             fields.append(field)
             assert value and all(type(x) is float for x in value), (field, value)
     assert fields  # every entry point returns at least one per-bus or per-agent tuple
+
+
+def test_package_exports_exactly_its_modules_public_names():
+    modules = [
+        importlib.import_module(f"inertia_market.{m.name}")
+        for m in pkgutil.iter_modules(inertia_market.__path__)
+        if m.name != "cli"
+    ]
+    names = inertia_market.__all__
+    assert names[0] == "__version__"
+    assert sorted(names[1:]) == sorted(name for module in modules for name in module.__all__)
+    assert len(set(names)) == len(names) == 48
+    assert all(hasattr(inertia_market, name) for name in names)
+    assert {"random_convex_curve", "deviation_curve"} <= set(names)
+    assert not {"real", "reals", "count", "number", "label"} & set(names)

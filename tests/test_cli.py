@@ -54,6 +54,22 @@ def test_validate_missing_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "format_version: 1\npi_tot: 1.0\nbuses: [{label: a, m0: 1.0}]\nagents: 5\n",
+        "format_version: 1\npi_tot: 1.0\nbuses: [{label: yes, m0: 1.0}]\n",
+    ],
+    ids=["agents-not-a-list", "bare-yes-label"],
+)
+def test_validate_malformed_scenario_exit_one(capsys, tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_unknown_subcommand_usage_exit_one(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -1,11 +1,14 @@
 """Grid construction, Laplacian structure, and state-space assembly."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from inertia_market import (
+    Grid,
     GridError,
     assemble_state_space,
     build_grid,
@@ -86,6 +89,65 @@ def test_unknown_bus_in_line_rejected():
                 "lines": [{"from": "1", "to": "9", "b": 1.0}],
             }
         )
+
+
+ONE_BUS = [{"label": "1", "m0": 1.0, "d": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (None, "grid must be a mapping, got None"),
+        ([ONE_BUS], "grid must be a mapping"),
+        ({"buses": 5}, "non-empty 'buses' list"),
+        ({"buses": "ab"}, "non-empty 'buses' list"),
+        ({"buses": ONE_BUS, "lines": 5}, "'lines' must be a list, got 5"),
+        ({"buses": ONE_BUS, "lines": "ab"}, "'lines' must be a list, got 'ab'"),
+        ({"buses": [{"label": True, "m0": 1.0, "d": 1.0}]}, r"buses\[0\]: label must be a string, got True"),
+        ({"buses": [{"label": "1", "m0": 10**400, "d": 1.0}]}, r"buses\[0\]: expected label/m0/d"),
+    ],
+    ids=["none", "list", "int-buses", "str-buses", "int-lines", "str-lines", "bool-label", "huge-int-m0"],
+)
+def test_malformed_grid_descriptions_raise_grid_error(raw, message):
+    with pytest.raises(GridError, match=message):
+        build_grid(raw)
+
+
+KEYS = ["buses", "lines", "label", "m0", "d", "from", "to", "b"]
+json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.sampled_from(["1", "1e3"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def grid_like(draw):
+    """A valid path grid with up to two fields or entries replaced by any JSON-like value."""
+    n = draw(st.integers(1, 3))
+    raw = {
+        "buses": [{"label": str(k), "m0": draw(st.floats(0.1, 10.0)), "d": 1.0} for k in range(n)],
+        "lines": [{"from": str(k), "to": str(k + 1), "b": 1.0} for k in range(n - 1)],
+    }
+    targets = [(raw, "buses"), (raw, "lines")]
+    targets += [(raw["buses"], k) for k in range(n)] + [(raw["lines"], k) for k in range(n - 1)]
+    targets += [(entry, key) for entry in raw["buses"] + raw["lines"] for key in entry]
+    for _ in range(draw(st.integers(0, 2))):
+        entry, key = draw(st.sampled_from(targets))
+        entry[key] = draw(json_like | st.sampled_from(["0", "2", 10**400, True, None, "1e3"]))
+    return raw
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+@given(raw=json_like | grid_like())
+def test_build_grid_returns_a_grid_or_raises_grid_error(raw):
+    try:
+        grid = build_grid(raw)
+    except GridError:
+        return
+    assert isinstance(grid, Grid) and grid.n == len(grid.labels) == len(set(grid.labels))
+    assert all(0 < x < math.inf for x in grid.m0 + grid.d)
 
 
 def test_laplacian_spectrum_random_grids():

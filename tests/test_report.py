@@ -6,6 +6,7 @@ import io
 import pytest
 
 from inertia_market import (
+    GridError,
     case_study,
     emit_report,
     make_report,
@@ -80,7 +81,7 @@ def test_text_render_mentions_all_agents():
 
 def test_rejects_unknown_format():
     _, report = case_report()
-    with pytest.raises(ValueError, match="format"):
+    with pytest.raises(GridError, match="format"):
         emit_report(report, fmt="json")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from inertia_market import (
     CostCurve,
     DisturbanceBudget,
+    GridError,
     Scenario,
     ScenarioAgent,
     ScenarioError,
@@ -137,6 +138,62 @@ def test_non_numeric_values_name_their_field(tmp_path, mutate, message):
         parse_scenario(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize("agents", [5, "abc", {"a": 1}], ids=["int", "str", "mapping"])
+def test_agents_must_be_a_list(tmp_path, agents):
+    doc = minimal_doc()
+    doc["agents"] = agents
+    with pytest.raises(ScenarioError, match="'agents' must be a list"):
+        parse_scenario(write_doc(tmp_path, doc))
+
+
+# Written as text, so the parser sees what YAML 1.1 reads an unquoted value as.
+YAML_WITH_GRID = """\
+format_version: 1
+name: mini
+kappa: 1
+pi_tot: 2.0
+buses: [{label: '1', m0: 1.0}, {label: '2', m0: 2.0}]
+agents: [{id: a, bus: '1', bid: [{width: 3.0, price: 1.0}]}]
+grid:
+  illustrative: true
+  buses: [{label: '1', m0: 1.0, d: 1.0}, {label: '2', m0: 2.0, d: 1.0}]
+  lines: [{from: '1', to: '2', b: 1.0}]
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("format_version: 1", "format_version: true", "format_version must be 1, got True"),
+        ("format_version: 1", "format_version: 1.0", "format_version must be 1, got 1.0"),
+        ("kappa: 1", "kappa: true", "kappa must be 1 or 2, got True"),
+        ("kappa: 1", "kappa: 2.0", "kappa must be 1 or 2, got 2.0"),
+        ("name: mini", "name: yes", "name must be a string, got True; quote it"),
+        ("{label: '1', m0: 1.0}", "{label: yes, m0: 1.0}", r"buses\[0\].label must be a string, got True"),
+        ("{label: '2', m0: 2.0}", "{label: ~, m0: 2.0}", r"buses\[1\].label must be a string, got None"),
+        ("id: a", "id: on", r"agents\[0\].id must be a string, got True"),
+        ("bus: '1'", "bus: no", r"agents\[0\].bus must be a string, got False"),
+        ("{label: '2', m0: 2.0, d", "{label: off, m0: 2.0, d", r"grid: buses\[1\]: label must be a string, got False"),
+        ("from: '1'", "from: yes", r"grid: lines\[0\]: from must be a string, got True"),
+        ("to: '2'", "to: [2]", r"grid: lines\[0\]: to must be a string, got \[2\]"),
+        ("illustrative: true", "illustrative: 1", "illustrative must be true or false, got 1"),
+    ],
+    ids=["format_version-bool", "format_version-float", "kappa-bool", "kappa-float", "name", "bus-label-bool",
+         "bus-label-null", "agent-id", "agent-bus", "grid-label", "line-from", "line-to", "illustrative"],
+)
+def test_yaml_bools_and_nulls_are_refused(tmp_path, old, new, message):
+    assert YAML_WITH_GRID.count(old) == 1
+    path = tmp_path / "scn.yaml"
+    path.write_text(YAML_WITH_GRID.replace(old, new))
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(path)
+
+
+def test_market_agents_rejects_unknown_curve_choice():
+    with pytest.raises(GridError, match="use must be 'bid' or 'cost'"):
+        case_study().market_agents(use="x")
+
+
 def test_decreasing_marginal_prices_rejected(tmp_path):
     doc = minimal_doc()
     doc["agents"][0]["bid"] = [
@@ -163,6 +220,13 @@ def test_invalid_yaml_is_scenario_error(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("agents: [unclosed")
     with pytest.raises(ScenarioError, match="invalid YAML"):
+        parse_scenario(path)
+
+
+def test_integer_too_long_to_read_is_scenario_error(tmp_path):
+    path = tmp_path / "long.yaml"
+    path.write_text("format_version: 1\npi_tot: " + "1" * 5000 + "\nbuses: [{label: a, m0: 1.0}]\n")
+    with pytest.raises(ScenarioError):  # int() refuses it, on interpreters that limit its digits
         parse_scenario(path)
 
 
